@@ -57,9 +57,6 @@ object CpuAssignment {
   }
 
   object Assignment {
-    def empty(numNodes: Int, numExecutors: Int): Assignment =
-      Assignment(IndexedSeq.fill(numNodes)(IndexedSeq.fill(numExecutors)(0)))
-
     /** Paper's deployment default: each executor starts with one core on
       * its (round-robin chosen) local node.
       */

@@ -38,7 +38,30 @@ object DynamicScheduler {
                prev: Assignment,
                nodeCapacity: IndexedSeq[Int],
                latencyTarget: Double,
-               phi0: Double = 512.0 * 1024): Decision = {
+               phi0: Double = 512.0 * 1024): Decision =
+    allocateAndAssign(loads, execs, nodeCapacity, latencyTarget)(
+      CpuAssignment.assign(_, prev, nodeCapacity, execs, phi0))
+
+  /** naive-EC variant (§5.4): identical queueing-model allocation and clip,
+    * but the assignment ignores migration cost and locality entirely.
+    */
+  def scheduleNaive(loads: IndexedSeq[ExecutorLoad],
+                    execs: IndexedSeq[ExecutorInfo],
+                    prev: Assignment,
+                    nodeCapacity: IndexedSeq[Int],
+                    latencyTarget: Double): Decision =
+    allocateAndAssign(loads, execs, nodeCapacity, latencyTarget)(target =>
+      (CpuAssignment.assignNaive(target, prev, nodeCapacity, execs), Double.NaN))
+
+  /** Allocate with the queueing model, clip the vector to the cluster, and
+    * hand the target to `assigner`, which returns the assignment and the φ
+    * it used.
+    */
+  private def allocateAndAssign(loads: IndexedSeq[ExecutorLoad],
+                                execs: IndexedSeq[ExecutorInfo],
+                                nodeCapacity: IndexedSeq[Int],
+                                latencyTarget: Double)
+                               (assigner: IndexedSeq[Int] => (Option[Assignment], Double)): Decision = {
     require(loads.length == execs.length, s"loads ${loads.length} != execs ${execs.length}")
     val t0 = System.nanoTime()
     val totalCores = nodeCapacity.sum
@@ -58,26 +81,7 @@ object DynamicScheduler {
         while (left > 0 && idx < order.length) { out(order(idx)) += 1; left -= 1; idx += 1 }
         out.toIndexedSeq
       }
-    val (assignment, phiUsed) = CpuAssignment.assign(target, prev, nodeCapacity, execs, phi0)
+    val (assignment, phiUsed) = assigner(target)
     Decision(alloc, assignment, phiUsed, System.nanoTime() - t0)
-  }
-
-  /** naive-EC variant (§5.4): identical queueing-model allocation, but the
-    * assignment ignores migration cost and locality entirely.
-    */
-  def scheduleNaive(loads: IndexedSeq[ExecutorLoad],
-                    execs: IndexedSeq[ExecutorInfo],
-                    prev: Assignment,
-                    nodeCapacity: IndexedSeq[Int],
-                    latencyTarget: Double): Decision = {
-    val t0 = System.nanoTime()
-    val totalCores = nodeCapacity.sum
-    val alloc = QueueingModel.allocateCores(loads, latencyTarget, totalCores)
-    val demand = alloc.cores.sum
-    val target =
-      if (demand <= totalCores) alloc.cores
-      else alloc.cores.map(k => math.max(1, (k.toLong * totalCores / demand).toInt))
-    val assignment = CpuAssignment.assignNaive(target, prev, nodeCapacity, execs)
-    Decision(alloc, assignment, Double.NaN, System.nanoTime() - t0)
   }
 }

@@ -78,7 +78,8 @@ object QueueingModel {
 
   /** Result of the allocation step: the core vector and the predicted mean
     * latency; `feasible` is false when the latency target could not be met
-    * within `totalCores` (the vector then holds the best-effort allocation).
+    * within `totalCores` (the vector then holds the best-effort allocation,
+    * or the stability minima when even those exceed `totalCores`).
     */
   final case class Allocation(cores: IndexedSeq[Int], predictedLatency: Double, feasible: Boolean)
 
@@ -97,9 +98,10 @@ object QueueingModel {
     val lambda0 = math.max(loads.map(_.lambda).max, 1e-9)
     val k = loads.map(_.minCores).toArray
     def total: Int = k.sum
-    // Infeasible even at the stability minimum: hand back the minima clipped
-    // to budget so the caller can still act (the paper's scheduler would be
-    // operating an overloaded cluster here regardless of assignment).
+    // Infeasible even at the stability minimum: hand back the minima as they
+    // are, summing above `totalCores`; clipping them to the cluster is the
+    // caller's job ([[DynamicScheduler]]). The paper's scheduler would be
+    // operating an overloaded cluster here regardless of assignment.
     if (total > totalCores) {
       return Allocation(k.toIndexedSeq, Double.PositiveInfinity, feasible = false)
     }

@@ -64,10 +64,6 @@ final class ShardMap(val numShards: Int, initialTasks: Int) {
   /** Reassign one shard (the routing-table update step of §3.3). */
   def reassign(shard: Int, toTask: Int): Unit = assignment(shard) = toTask
 
-  /** Shards currently owned by `task`. */
-  def shardsOf(task: Int): IndexedSeq[Int] =
-    (0 until numShards).filter(assignment(_) == task)
-
   /** Snapshot of the full shard→task vector. */
   def snapshot: IndexedSeq[Int] = assignment.toIndexedSeq
 

@@ -83,6 +83,11 @@ final class SimResult(val perSecond: IndexedSeq[SecondMetric],
 /** Discrete-time fluid simulator of a stream-processing cluster running one
   * of the three paradigms over a dynamic keyed workload. See DESIGN.md §6
   * for the fidelity argument.
+  *
+  * The engine owns arrivals, service and the per-second metrics. Everything
+  * paradigm-specific — layout, warm start, protocol state machines and
+  * periodic control — lives in one [[Controller]], chosen once from
+  * `config.paradigm`.
   */
 final class StreamSimulator(config: SimConfig, workload: Workload) {
   private val cluster = config.cluster
@@ -91,77 +96,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
   require(opIdx.contains(workload.throughputOp), s"unknown throughput op ${workload.throughputOp}")
   private val entryOp = opIdx(workload.throughputOp)
   private val numNodes = cluster.numNodes
-
-  private val isEC = config.paradigm.isInstanceOf[Paradigm.ExecutorCentric]
-
-  // ---- executor layout -----------------------------------------------------
-
-  /** Per op: its executor runtimes (EC: y of them; static/RC: exactly one
-    * whose tasks are the operator's single-core executors).
-    */
-  private val execs: IndexedSeq[IndexedSeq[ExecutorRuntime]] = buildLayout()
-  private val allExecs: IndexedSeq[ExecutorRuntime] = execs.flatten
-  /** Numbers of executors (tier-1 partitions) and shards per executor used
-    * for the shard-weight aggregation; identical totals in all paradigms so
-    * repartitioning granularity is comparable (§5 setup).
-    */
-  private def tier1Of(op: Int): (Int, Int) =
-    if (isEC) (config.executorsOf(ops(op).name), config.shardsPerExecutor)
-    else (1, config.executorsOf(ops(op).name) * config.shardsPerExecutor)
-
-  /** Steady-state input rate per op at t=0, used to size static allocations. */
-  private def steadyRates(t: Double): Array[Double] = {
-    val r = new Array[Double](ops.length)
-    for (j <- ops.indices) {
-      r(j) += workload.externalRate(ops(j).name, t)
-      for ((d, sel) <- ops(j).downstream) r(opIdx(d)) += r(j) * sel
-    }
-    r
-  }
-
-  private def buildLayout(): IndexedSeq[IndexedSeq[ExecutorRuntime]] = {
-    config.paradigm match {
-      case Paradigm.ExecutorCentric(_, _, _) =>
-        var node = 0
-        val out = for (j <- ops.indices) yield {
-          val y = config.executorsOf(ops(j).name)
-          val (_, z) = tier1Of(j)
-          for (e <- 0 until y) yield {
-            val local = node % numNodes
-            node += 1
-            new ExecutorRuntime(ops(j), e, z, local, IndexedSeq(local))
-          }
-        }
-        val totalExecs = out.map(_.length).sum
-        require(totalExecs <= cluster.totalCores,
-          s"$totalExecs executors need at least that many cores; cluster has ${cluster.totalCores}")
-        out
-      case _ =>
-        // Static/RC: allocate all cores across operators proportionally to
-        // their steady CPU demand ("enough executors to fully utilize all
-        // CPU cores", §5); executors are placed round-robin across nodes.
-        val rates = steadyRates(0.0)
-        val demand = ops.indices.map(j => math.max(rates(j) * ops(j).cpuSecPerTuple, 1e-9))
-        val total = demand.sum
-        val cores = ops.indices.map(j =>
-          math.max(1, math.round(cluster.totalCores * demand(j) / total).toInt)).toArray
-        // Trim rounding overflow from the biggest allocations.
-        var excess = cores.sum - cluster.totalCores
-        while (excess > 0) {
-          val j = cores.indices.maxBy(cores)
-          if (cores(j) > 1) { cores(j) -= 1; excess -= 1 } else excess = 0
-        }
-        var node = 0
-        for (j <- ops.indices) yield {
-          val (_, z) = tier1Of(j)
-          val nodes = (0 until cores(j)).map { _ => val n = node % numNodes; node += 1; n }
-          val rt = new ExecutorRuntime(ops(j), 0, z, nodes.head, nodes)
-          // Static key partition: shard s -> task s mod T.
-          rt.shardMap.replaceAll((0 until z).map(_ % cores(j)))
-          IndexedSeq(rt)
-        }
-    }
-  }
 
   // ---- per-run mutable state ----------------------------------------------
 
@@ -175,20 +109,35 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
   private var cumMigrationBytes = 0.0
   private var cumRemoteBytes = 0.0
 
-  /** RC repartition in flight, per op. */
-  private final class RepartitionOp(val op: Int, val startSec: Double,
-                                    val moves: List[LoadBalancer.Move],
-                                    val targetAssignment: IndexedSeq[Int]) {
-    var phase = 0 // 0 pause, 1 drain, 2 transfer, 3 done
-    var pauseEndSec: Double = startSec + cluster.controlRttSec
-    var drainEndSec: Double = Double.NaN
-    var transferEndSec: Double = Double.NaN
-    var routingSec: Double = Double.NaN
-    var migrateSec: Double = Double.NaN
-    var bytes: Double = 0.0
-    val hold = mutable.ArrayBuffer.empty[Cohort]
+  private var currentSec: Double = 0.0
+  private var secMigrationBytes = 0.0
+  private var secRemoteBytes = 0.0
+  private var secBackpressured = 0.0
+  private var secOffered = 0.0
+
+  // ---- executor layout -----------------------------------------------------
+
+  private val controller: Controller = config.paradigm match {
+    case Paradigm.Static => new StaticController
+    case Paradigm.ResourceCentric(checkPeriodSec) => new ResourceCentricController(checkPeriodSec)
+    case p: Paradigm.ExecutorCentric => new ExecutorCentricController(p)
   }
-  private val activeReparts: Array[RepartitionOp] = new Array[RepartitionOp](ops.length)
+
+  /** Per op: its executor runtimes (EC: y of them; static/RC: exactly one
+    * whose tasks are the operator's single-core executors).
+    */
+  private val execs: IndexedSeq[IndexedSeq[ExecutorRuntime]] = controller.layout()
+  private val allExecs: IndexedSeq[ExecutorRuntime] = execs.flatten
+
+  /** Steady-state input rate per op at t=0, used to size static allocations. */
+  private def steadyRates(t: Double): Array[Double] = {
+    val r = new Array[Double](ops.length)
+    for (j <- ops.indices) {
+      r(j) += workload.externalRate(ops(j).name, t)
+      for ((d, sel) <- ops(j).downstream) r(opIdx(d)) += r(j) * sel
+    }
+    r
+  }
 
   /** Append into a hold buffer, merging cohorts within 10 ms so long pauses
     * don't accumulate unbounded cohort objects.
@@ -205,7 +154,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
   private def refreshWeights(): Unit = {
     for (j <- ops.indices) {
-      val (y, z) = tier1Of(j)
+      val (y, z) = controller.tier1Of(j)
       val w = workload.shardWeights(ops(j).name, y, z)
       val perOp = execs(j)
       for (e <- perOp.indices) {
@@ -216,291 +165,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     }
   }
 
-  // ---- Elasticutor shard moves --------------------------------------------
-
-  private def startMove(rt: ExecutorRuntime, shard: Int, fromTask: TaskRuntime, toTask: Int): Unit = {
-    val interNode = fromTask.node != rt.tasks(toTask).node
-    rt.shardPaused(shard) = true
-    rt.activeMoves += new ShardMoveOp(shard, fromTask, toTask, currentSec,
-      rt.op.statePerShardBytes, interNode)
-  }
-
-  private var currentSec: Double = 0.0
-
-  private def advanceMoves(rt: ExecutorRuntime): Unit = {
-    if (rt.activeMoves.isEmpty) return
-    var changed = false
-    var i = 0
-    while (i < rt.activeMoves.length) {
-      val m = rt.activeMoves(i)
-      m.phase match {
-        case ShardMoveOp.Draining =>
-          if (m.fromTask.drainedWork + 1e-9 >= m.drainTarget) {
-            m.syncEndSec = currentSec + cluster.shardSyncOverheadSec
-            m.migrateEndSec = m.syncEndSec +
-              (if (m.interNode) cluster.transferSec(m.stateBytes) else 0.0)
-            m.phase = ShardMoveOp.Migrating
-          }
-        case ShardMoveOp.Migrating =>
-          if (currentSec >= m.migrateEndSec) {
-            rt.shardMap.reassign(m.shard, m.toTaskIndex)
-            rt.shardPaused(m.shard) = false
-            val dst = rt.tasks(m.toTaskIndex)
-            m.hold.foreach(c => secBackpressured += dst.enqueue(c, config.maxQueueSec))
-            val bytes = if (m.interNode) m.stateBytes else 0.0
-            if (m.interNode) { secMigrationBytes += bytes }
-            moveLog += MoveRecord(m.startSec, rt.op.name, m.interNode,
-              m.syncEndSec - m.startSec, m.migrateEndSec - m.syncEndSec, bytes)
-            m.phase = ShardMoveOp.Done
-            changed = true
-          }
-        case _ => ()
-      }
-      i += 1
-    }
-    if (changed) {
-      rt.activeMoves.filterInPlace(_.phase != ShardMoveOp.Done)
-      // Retired tasks whose shards have all left and queues drained free up.
-      rt.retiring.filterInPlace(t => !(t.isDrained &&
-        rt.activeMoves.forall(_.fromTask ne t)))
-      rt.refreshTaskShares()
-    }
-  }
-
-  // ---- scheduler (EC) ------------------------------------------------------
-
-  private def runScheduler(naive: Boolean, periodSec: Double): Unit = {
-    // λ is inflated by θ: the M/M/k model pools an executor's cores into one
-    // queue, but real tasks tolerate up to θ× the mean load (§3.1), so the
-    // hottest task needs θ·λ/k < μ — provisioning for θλ guarantees it.
-    val loads = allExecs.map { rt =>
-      val lambda = rt.windowArrivals / periodSec * config.theta
-      QueueingModel.ExecutorLoad(lambda, 1.0 / rt.op.cpuSecPerTuple)
-    }
-    val infos = allExecs.map { rt =>
-      val cores = math.max(1, rt.tasks.length)
-      val lambda = rt.windowArrivals / periodSec
-      CpuAssignment.ExecutorInfo(rt.localNode, rt.stateBytes,
-        lambda * (rt.op.tupleBytes + rt.op.outBytes) / cores)
-    }
-    allExecs.foreach(_.windowArrivals = 0.0)
-    val prev = CpuAssignment.Assignment(
-      IndexedSeq.tabulate(numNodes)(i => allExecs.map(_.coresPerNode(numNodes)(i)).toIndexedSeq))
-    val capacity = IndexedSeq.fill(numNodes)(cluster.coresPerNode)
-    val decision =
-      if (naive) DynamicScheduler.scheduleNaive(loads, infos, prev, capacity, config.latencyTargetSec)
-      else DynamicScheduler.schedule(loads, infos, prev, capacity, config.latencyTargetSec, config.phi0)
-    schedMillis += decision.wallClockMillis
-    decision.assignment.foreach { a =>
-      for (j <- allExecs.indices) {
-        val counts = Array.tabulate(numNodes)(i => a.cores(i)(j))
-        applyAssignment(allExecs(j), counts)
-      }
-    }
-  }
-
-  /** Install a new per-node core count vector on one executor: diff against
-    * current tasks, retire/add tasks, and launch the shard moves that
-    * rebalance onto the new task set.
-    */
-  private def applyAssignment(rt: ExecutorRuntime, newCounts: Array[Int]): Unit = {
-    if (rt.activeMoves.nonEmpty || rt.retiring.nonEmpty) return
-    val cur = rt.coresPerNode(numNodes)
-    if (java.util.Arrays.equals(cur, newCounts)) return
-    if (newCounts.sum == 0) return // never strip the last core
-
-    val survivors = mutable.ArrayBuffer.empty[TaskRuntime]
-    val removed = mutable.ArrayBuffer.empty[TaskRuntime]
-    for (node <- 0 until numNodes) {
-      val onNode = rt.tasks.filter(_.node == node)
-      val keep = math.min(onNode.length, newCounts(node))
-      survivors ++= onNode.take(keep)
-      removed ++= onNode.drop(keep)
-    }
-    val added = mutable.ArrayBuffer.empty[TaskRuntime]
-    for (node <- 0 until numNodes) {
-      val have = survivors.count(_.node == node)
-      for (_ <- have until newCounts(node)) added += new TaskRuntime(node)
-    }
-    val newTasks = survivors ++ added
-    val newIndex: Map[TaskRuntime, Int] = newTasks.zipWithIndex.toMap
-
-    val opRate = lastOpRate(opIdx(rt.op.name))
-    val loads = rt.shardLoads(opRate)
-    // Base assignment: survivors keep their shards; orphans (on removed
-    // tasks) go FFD onto the least-loaded new task, each via the protocol.
-    val base = new Array[Int](rt.numShards)
-    val orphans = mutable.ArrayBuffer.empty[Int]
-    val oldTaskOf = new Array[TaskRuntime](rt.numShards)
-    for (s <- 0 until rt.numShards) {
-      val t = rt.tasks(rt.shardMap.taskOf(s))
-      oldTaskOf(s) = t
-      newIndex.get(t) match {
-        case Some(ni) => base(s) = ni
-        case None => base(s) = -1; orphans += s
-      }
-    }
-    val taskLoad = new Array[Double](newTasks.length)
-    for (s <- 0 until rt.numShards if base(s) >= 0) taskLoad(base(s)) += loads(s)
-    val forced = mutable.ArrayBuffer.empty[(Int, TaskRuntime, Int)]
-    for (s <- orphans.sortBy(s => -loads(s))) {
-      val dst = taskLoad.indices.minBy(taskLoad)
-      base(s) = dst
-      taskLoad(dst) += loads(s)
-      forced += ((s, oldTaskOf(s), dst))
-    }
-    val reb = LoadBalancer.rebalance(loads, base.toIndexedSeq, newTasks.length, config.theta)
-
-    // Install the new task set and the renumbered map (renumbering survivor
-    // indices is pure bookkeeping, not a migration).
-    rt.tasks.clear(); rt.tasks ++= newTasks
-    rt.retiring ++= removed
-    rt.shardMap.replaceAll(base.toIndexedSeq)
-    for ((s, from, dst) <- forced) startMove(rt, s, from, dst)
-    for (m <- LoadBalancer.collapse(reb.moves) if !rt.shardPaused(m.shard))
-      startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
-    rt.refreshTaskShares()
-  }
-
-  /** Periodic intra-executor balance check (EC). */
-  private def maybeRebalance(rt: ExecutorRuntime, opRate: Double): Unit = {
-    if (rt.activeMoves.nonEmpty || rt.tasks.length < 2) return
-    if (rt.imbalance <= config.theta) return
-    val loads = rt.shardLoads(opRate)
-    val reb = LoadBalancer.rebalance(loads, rt.shardMap.snapshot, rt.tasks.length, config.theta)
-    for (m <- LoadBalancer.collapse(reb.moves)) startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
-    rt.refreshTaskShares()
-  }
-
-  // ---- RC repartitioning ---------------------------------------------------
-
-  private def maybeRepartition(op: Int, opRate: Double): Unit = {
-    val rt = execs(op).head
-    if (activeReparts(op) != null || rt.tasks.length < 2) return
-    if (rt.imbalance <= config.theta) return
-    val loads = rt.shardLoads(opRate)
-    val reb = LoadBalancer.rebalance(loads, rt.shardMap.snapshot, rt.tasks.length, config.theta)
-    if (reb.moves.isEmpty) return
-    activeReparts(op) = new RepartitionOp(op, currentSec, reb.moves, reb.assignment)
-  }
-
-  private def advanceRepartition(op: Int): Unit = {
-    val r = activeReparts(op)
-    if (r == null) return
-    val rt = execs(op).head
-    r.phase match {
-      case 0 =>
-        if (currentSec >= r.pauseEndSec) r.phase = 1
-      case 1 =>
-        if (rt.tasks.forall(_.isDrained)) {
-          r.drainEndSec = currentSec
-          val crossBytes = r.moves.iterator
-            .filter(m => rt.tasks(m.fromTask).node != rt.tasks(m.toTask).node)
-            .map(_ => rt.op.statePerShardBytes).sum
-          r.bytes = crossBytes
-          // Each shard pays the reassignment control overhead (the moves are
-          // applied shard-by-shard to keep per-key order), plus the network
-          // transfer of cross-node state.
-          r.migrateSec = r.moves.length * cluster.shardSyncOverheadSec +
-            cluster.transferSec(crossBytes)
-          // Routing tables of every upstream executor are updated while the
-          // operator is paused: a request+ack round trip each, serialized
-          // through the controller — the global synchronization the
-          // executor-centric approach avoids (§3.3).
-          r.routingSec = 2 * cluster.controlRttSec * workload.upstreamExecutorCount
-          r.transferEndSec = currentSec + r.migrateSec + r.routingSec
-          r.phase = 2
-        }
-      case 2 =>
-        if (currentSec >= r.transferEndSec) {
-          rt.shardMap.replaceAll(r.targetAssignment)
-          rt.refreshTaskShares()
-          // Flush held input proportionally to the new task shares.
-          val shares = rt.taskShare
-          val total = math.max(shares.sum, 1e-12)
-          for (c <- r.hold; t <- rt.tasks.indices) {
-            val f = shares(t) / total
-            if (f > 0) {
-              val piece = new Cohort(c.arrivalSec, c.work * f, c.tuples * f)
-              secBackpressured += rt.tasks(t).enqueue(piece, config.maxQueueSec)
-            }
-          }
-          secMigrationBytes += r.bytes
-          repartLog += RepartitionRecord(r.startSec, rt.op.name, r.moves.length,
-            r.pauseEndSec - r.startSec, r.drainEndSec - r.pauseEndSec,
-            r.routingSec, r.migrateSec, r.bytes)
-          activeReparts(op) = null
-        }
-      case _ => ()
-    }
-  }
-
-  /** Warm start (t = 0): provision executors for the steady-state rates
-    * using the real scheduler, installing tasks and balanced shard maps
-    * directly — no protocol, no cost. The paper's measurements likewise
-    * start from a provisioned steady state; without this, the 1-core
-    * bootstrap builds a backlog that a fully-utilised cluster can never
-    * drain, polluting every latency figure.
-    */
-  private def initialProvision(): Unit = {
-    val rates = steadyRates(0.0)
-    config.paradigm match {
-      case Paradigm.ExecutorCentric(_, _, naive) =>
-        val loads = allExecs.map { rt =>
-          val j = opIdx(rt.op.name)
-          QueueingModel.ExecutorLoad(rates(j) * rt.totalShare * config.theta, 1.0 / rt.op.cpuSecPerTuple)
-        }
-        val infos = allExecs.map { rt =>
-          val j = opIdx(rt.op.name)
-          CpuAssignment.ExecutorInfo(rt.localNode, rt.stateBytes,
-            rates(j) * rt.totalShare * (rt.op.tupleBytes + rt.op.outBytes))
-        }
-        val prev = CpuAssignment.Assignment(
-          IndexedSeq.tabulate(numNodes)(i => allExecs.map(_.coresPerNode(numNodes)(i)).toIndexedSeq))
-        val capacity = IndexedSeq.fill(numNodes)(cluster.coresPerNode)
-        val decision =
-          if (naive) DynamicScheduler.scheduleNaive(loads, infos, prev, capacity, config.latencyTargetSec)
-          else DynamicScheduler.schedule(loads, infos, prev, capacity, config.latencyTargetSec, config.phi0)
-        decision.assignment.foreach { a =>
-          for (j <- allExecs.indices) {
-            val rt = allExecs(j)
-            val nodes = (0 until numNodes).flatMap(i => Seq.fill(a.cores(i)(j))(i))
-            if (nodes.nonEmpty && nodes.length != rt.tasks.length) {
-              rt.tasks.clear()
-              rt.tasks ++= nodes.map(new TaskRuntime(_))
-            }
-            installBalancedMap(rt, rates(opIdx(rt.op.name)))
-          }
-        }
-      case _ =>
-        // RC (and static's hash partition is already installed): start from
-        // a balanced shard map — RC systems rebalance on deploy.
-        config.paradigm match {
-          case Paradigm.ResourceCentric(_) =>
-            for (j <- ops.indices) installBalancedMap(execs(j).head, rates(j))
-          case _ => ()
-        }
-    }
-  }
-
-  /** Replace an executor's shard map with a freshly balanced one, free of
-    * protocol cost (only valid before the clock starts).
-    */
-  private def installBalancedMap(rt: ExecutorRuntime, opRate: Double): Unit = {
-    val loads = rt.shardLoads(opRate)
-    val rr = IndexedSeq.tabulate(rt.numShards)(_ % rt.tasks.length)
-    val reb = LoadBalancer.rebalance(loads, rr, rt.tasks.length, config.theta)
-    rt.shardMap.replaceAll(reb.assignment)
-    rt.refreshTaskShares()
-  }
-
   // ---- main loop -----------------------------------------------------------
-
-  private var secMigrationBytes = 0.0
-  private var secRemoteBytes = 0.0
-  private var secBackpressured = 0.0
-  private var secOffered = 0.0
-  private val lastOpRate = new Array[Double](ops.length)
 
   /** Run the simulation and return aggregated results. */
   def run(): SimResult = {
@@ -509,12 +174,9 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     val secStats = Array.fill(ops.length)(new CompletionStats)
     val internalRate = new Array[Double](ops.length)
     var nextSecond = 1.0
-    var lastBalance = 0.0
-    var lastSchedule = 0.0
-    var lastRcCheck = 0.0
 
     refreshWeights()
-    initialProvision()
+    controller.warmStart(steadyRates(0.0))
 
     var step = 0
     while (step < steps) {
@@ -530,63 +192,62 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val rates = new Array[Double](ops.length)
       for (j <- ops.indices)
         rates(j) = workload.externalRate(ops(j).name, now) + internalRate(j)
-      System.arraycopy(rates, 0, lastOpRate, 0, ops.length)
       secOffered += rates(entryOp) * dt
 
       // Arrivals.
       for (j <- ops.indices) {
-        val repart = activeReparts(j)
-        if (repart != null && repart.phase < 3) {
-          // RC pause: everything destined for this operator buffers.
-          appendHold(repart.hold, now, rates(j) * dt * ops(j).cpuSecPerTuple, rates(j) * dt)
-        } else {
-          val perOp = execs(j)
-          var e = 0
-          while (e < perOp.length) {
-            val rt = perOp(e)
-            val execTuples = rates(j) * rt.totalShare * dt
-            rt.windowArrivals += execTuples
-            // Remote NIC cap (EC only): receiver forwards at most one NIC's
-            // worth of bytes to remote tasks per tick.
-            var remoteScale = 1.0
-            if (isEC) {
-              val rs = rt.remoteShare
-              if (rs > 0) {
-                val demand = rates(j) * rs * dt * (rt.op.tupleBytes + rt.op.outBytes)
-                val budget = cluster.networkBytesPerSec * dt
-                if (demand > budget) remoteScale = budget / demand
-                secRemoteBytes += math.min(demand, budget)
-              }
-            }
-            var t = 0
-            while (t < rt.tasks.length) {
-              val share = rt.taskShare(t)
-              if (share > 0) {
-                val remote = isEC && rt.tasks(t).node != rt.localNode
-                val scale = if (remote) remoteScale else 1.0
-                val tuples = rates(j) * share * dt * scale
-                if (remote && remoteScale < 1.0)
-                  secBackpressured += rates(j) * share * dt * (1 - remoteScale)
-                if (tuples > 0) {
-                  val c = new Cohort(now, tuples * ops(j).cpuSecPerTuple, tuples)
-                  secBackpressured += rt.tasks(t).enqueue(c, config.maxQueueSec)
+        controller.pausedHold(j) match {
+          case Some(hold) =>
+            // Operator paused: everything destined for it buffers.
+            appendHold(hold, now, rates(j) * dt * ops(j).cpuSecPerTuple, rates(j) * dt)
+          case None =>
+            val perOp = execs(j)
+            var e = 0
+            while (e < perOp.length) {
+              val rt = perOp(e)
+              val execTuples = rates(j) * rt.totalShare * dt
+              rt.windowArrivals += execTuples
+              // Remote NIC cap: the receiver forwards at most one NIC's
+              // worth of bytes to remote tasks per tick.
+              var remoteScale = 1.0
+              if (controller.capsRemoteNic) {
+                val rs = rt.remoteShare
+                if (rs > 0) {
+                  val demand = rates(j) * rs * dt * (rt.op.tupleBytes + rt.op.outBytes)
+                  val budget = cluster.networkBytesPerSec * dt
+                  if (demand > budget) remoteScale = budget / demand
+                  secRemoteBytes += math.min(demand, budget)
                 }
               }
-              t += 1
-            }
-            // Paused shards: buffer at the move's hold.
-            if (rt.activeMoves.nonEmpty) {
-              var i = 0
-              while (i < rt.activeMoves.length) {
-                val m = rt.activeMoves(i)
-                val w = rt.shardWeight(m.shard)
-                if (w > 0)
-                  appendHold(m.hold, now, rates(j) * w * dt * ops(j).cpuSecPerTuple, rates(j) * w * dt)
-                i += 1
+              var t = 0
+              while (t < rt.tasks.length) {
+                val share = rt.taskShare(t)
+                if (share > 0) {
+                  val remote = controller.capsRemoteNic && rt.tasks(t).node != rt.localNode
+                  val scale = if (remote) remoteScale else 1.0
+                  val tuples = rates(j) * share * dt * scale
+                  if (remote && remoteScale < 1.0)
+                    secBackpressured += rates(j) * share * dt * (1 - remoteScale)
+                  if (tuples > 0) {
+                    val c = new Cohort(now, tuples * ops(j).cpuSecPerTuple, tuples)
+                    secBackpressured += rt.tasks(t).enqueue(c, config.maxQueueSec)
+                  }
+                }
+                t += 1
               }
+              // Paused shards: buffer at the move's hold.
+              if (rt.activeMoves.nonEmpty) {
+                var i = 0
+                while (i < rt.activeMoves.length) {
+                  val m = rt.activeMoves(i)
+                  val w = rt.shardWeight(m.shard)
+                  if (w > 0)
+                    appendHold(m.hold, now, rates(j) * w * dt * ops(j).cpuSecPerTuple, rates(j) * w * dt)
+                  i += 1
+                }
+              }
+              e += 1
             }
-            e += 1
-          }
         }
       }
 
@@ -624,33 +285,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         for ((d, sel) <- ops(j).downstream) internalRate(opIdx(d)) += completed * sel / dt
       }
 
-      // Protocol state machines.
-      for (j <- ops.indices) {
-        if (isEC) execs(j).foreach(advanceMoves) else advanceRepartition(j)
-      }
-
-      // Periodic controllers.
-      config.paradigm match {
-        case Paradigm.ExecutorCentric(schedPeriod, balPeriod, naive) =>
-          if (shuffled || now - lastBalance >= balPeriod) {
-            lastBalance = now
-            for (j <- ops.indices; rt <- execs(j)) maybeRebalance(rt, rates(j))
-          }
-          if (now - lastSchedule >= schedPeriod && now > 0) {
-            lastSchedule = now
-            runScheduler(naive, schedPeriod)
-          }
-        case Paradigm.ResourceCentric(period) =>
-          // RC's controller aggregates operator-level metrics globally; it
-          // reacts on its periodic cadence, not instantly on a shuffle —
-          // queues build in the hot executors until the check fires, and
-          // draining them is part of the global synchronization.
-          if (now - lastRcCheck >= period) {
-            lastRcCheck = now
-            for (j <- ops.indices) maybeRepartition(j, rates(j))
-          }
-        case Paradigm.Static => ()
-      }
+      controller.advanceProtocols()
+      controller.control(now, shuffled, rates)
 
       // Per-second metric rollover.
       if (endOfTick + 1e-9 >= nextSecond) {
@@ -680,4 +316,368 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
   /** Expose layout for tests: (op name, executors, tasks each). */
   def layout: IndexedSeq[(String, Int, IndexedSeq[Int])] =
     ops.indices.map(j => (ops(j).name, execs(j).length, execs(j).map(_.tasks.length)))
+
+  // ---- controllers ---------------------------------------------------------
+
+  /** One paradigm's decisions. The engine calls it at fixed points of the
+    * tick and never branches on the paradigm itself.
+    *
+    * @param capsRemoteNic whether each executor's receiver forwards to its
+    *                      remote tasks through one NIC (§3.2), capping the
+    *                      remote bytes per tick
+    */
+  private abstract class Controller(val capsRemoteNic: Boolean) {
+    /** Numbers of executors (tier-1 partitions) and shards per executor used
+      * for the shard-weight aggregation; identical totals in all paradigms so
+      * repartitioning granularity is comparable (§5 setup).
+      */
+    def tier1Of(op: Int): (Int, Int)
+
+    /** Per op: its executor runtimes. */
+    def layout(): IndexedSeq[IndexedSeq[ExecutorRuntime]]
+
+    /** Warm start (t = 0) at the steady-state per-op rates. The paper's
+      * measurements start from a provisioned steady state; without it, a
+      * bootstrap backlog that a fully-utilised cluster can never drain
+      * pollutes every latency figure.
+      */
+    def warmStart(rates: Array[Double]): Unit = ()
+
+    /** Hold buffer for all of op `op`'s input while the paradigm pauses it. */
+    def pausedHold(op: Int): Option[mutable.ArrayBuffer[Cohort]] = None
+
+    /** Advance in-flight protocol state machines by one tick. */
+    def advanceProtocols(): Unit = ()
+
+    /** Periodic control at tick time `now`, given this tick's op input rates. */
+    def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = ()
+
+    /** Replace an executor's shard map with a freshly balanced one, free of
+      * protocol cost (only valid before the clock starts).
+      */
+    protected final def installBalancedMap(rt: ExecutorRuntime, opRate: Double): Unit = {
+      val loads = rt.shardLoads(opRate)
+      val rr = IndexedSeq.tabulate(rt.numShards)(_ % rt.tasks.length)
+      val reb = LoadBalancer.rebalance(loads, rr, rt.tasks.length, config.theta)
+      rt.shardMap.replaceAll(reb.assignment)
+      rt.refreshTaskShares()
+    }
+  }
+
+  /** Storm default: one runtime per operator whose tasks are its single-core
+    * executors, over a static hash partition of the keys; no elasticity.
+    */
+  private class StaticController extends Controller(capsRemoteNic = false) {
+    def tier1Of(op: Int): (Int, Int) = (1, config.executorsOf(ops(op).name) * config.shardsPerExecutor)
+
+    def layout(): IndexedSeq[IndexedSeq[ExecutorRuntime]] = {
+      // Allocate all cores across operators proportionally to their steady
+      // CPU demand ("enough executors to fully utilize all CPU cores", §5);
+      // executors are placed round-robin across nodes.
+      val rates = steadyRates(0.0)
+      val demand = ops.indices.map(j => math.max(rates(j) * ops(j).cpuSecPerTuple, 1e-9))
+      val total = demand.sum
+      val cores = ops.indices.map(j =>
+        math.max(1, math.round(cluster.totalCores * demand(j) / total).toInt)).toArray
+      // Trim rounding overflow from the biggest allocations.
+      var excess = cores.sum - cluster.totalCores
+      while (excess > 0) {
+        val j = cores.indices.maxBy(cores)
+        if (cores(j) > 1) { cores(j) -= 1; excess -= 1 } else excess = 0
+      }
+      var node = 0
+      for (j <- ops.indices) yield {
+        val (_, z) = tier1Of(j)
+        val nodes = (0 until cores(j)).map { _ => val n = node % numNodes; node += 1; n }
+        val rt = new ExecutorRuntime(ops(j), 0, z, nodes.head, nodes)
+        // Static key partition: shard s -> task s mod T.
+        rt.shardMap.replaceAll((0 until z).map(_ % cores(j)))
+        IndexedSeq(rt)
+      }
+    }
+  }
+
+  /** Resource-centric: the static layout plus operator-level key
+    * repartitioning with global synchronization (pause all upstream, drain
+    * in-flight, migrate state, update upstream routing tables).
+    */
+  private final class ResourceCentricController(checkPeriodSec: Double) extends StaticController {
+    /** RC repartition in flight, per op. */
+    private final class RepartitionOp(val startSec: Double,
+                                      val moves: List[LoadBalancer.Move],
+                                      val targetAssignment: IndexedSeq[Int]) {
+      var phase = 0 // 0 pause, 1 drain, 2 transfer
+      var pauseEndSec: Double = startSec + cluster.controlRttSec
+      var drainEndSec: Double = Double.NaN
+      var transferEndSec: Double = Double.NaN
+      var routingSec: Double = Double.NaN
+      var migrateSec: Double = Double.NaN
+      var bytes: Double = 0.0
+      val hold = mutable.ArrayBuffer.empty[Cohort]
+    }
+    private val active = new Array[RepartitionOp](ops.length)
+    private var lastCheck = 0.0
+
+    // RC systems rebalance on deploy: start from a balanced shard map.
+    override def warmStart(rates: Array[Double]): Unit =
+      for (j <- ops.indices) installBalancedMap(execs(j).head, rates(j))
+
+    override def pausedHold(op: Int): Option[mutable.ArrayBuffer[Cohort]] =
+      if (active(op) == null) None else Some(active(op).hold)
+
+    override def advanceProtocols(): Unit = ops.indices.foreach(advance)
+
+    override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit =
+      // RC's controller aggregates operator-level metrics globally; it
+      // reacts on its periodic cadence, not instantly on a shuffle —
+      // queues build in the hot executors until the check fires, and
+      // draining them is part of the global synchronization.
+      if (now - lastCheck >= checkPeriodSec) {
+        lastCheck = now
+        for (j <- ops.indices) maybeRepartition(j, rates(j))
+      }
+
+    private def maybeRepartition(op: Int, opRate: Double): Unit = {
+      val rt = execs(op).head
+      if (active(op) != null || rt.tasks.length < 2) return
+      if (rt.imbalance <= config.theta) return
+      val loads = rt.shardLoads(opRate)
+      val reb = LoadBalancer.rebalance(loads, rt.shardMap.snapshot, rt.tasks.length, config.theta)
+      if (reb.moves.isEmpty) return
+      active(op) = new RepartitionOp(currentSec, reb.moves, reb.assignment)
+    }
+
+    private def advance(op: Int): Unit = {
+      val r = active(op)
+      if (r == null) return
+      val rt = execs(op).head
+      r.phase match {
+        case 0 =>
+          if (currentSec >= r.pauseEndSec) r.phase = 1
+        case 1 =>
+          if (rt.tasks.forall(_.isDrained)) {
+            r.drainEndSec = currentSec
+            val crossBytes = r.moves.iterator
+              .filter(m => rt.tasks(m.fromTask).node != rt.tasks(m.toTask).node)
+              .map(_ => rt.op.statePerShardBytes).sum
+            r.bytes = crossBytes
+            // Each shard pays the reassignment control overhead (the moves are
+            // applied shard-by-shard to keep per-key order), plus the network
+            // transfer of cross-node state.
+            r.migrateSec = r.moves.length * cluster.shardSyncOverheadSec +
+              cluster.transferSec(crossBytes)
+            // Routing tables of every upstream executor are updated while the
+            // operator is paused: a request+ack round trip each, serialized
+            // through the controller — the global synchronization the
+            // executor-centric approach avoids (§3.3).
+            r.routingSec = 2 * cluster.controlRttSec * workload.upstreamExecutorCount
+            r.transferEndSec = currentSec + r.migrateSec + r.routingSec
+            r.phase = 2
+          }
+        case _ =>
+          if (currentSec >= r.transferEndSec) {
+            rt.shardMap.replaceAll(r.targetAssignment)
+            rt.refreshTaskShares()
+            // Flush held input proportionally to the new task shares.
+            val shares = rt.taskShare
+            val total = math.max(shares.sum, 1e-12)
+            for (c <- r.hold; t <- rt.tasks.indices) {
+              val f = shares(t) / total
+              if (f > 0) {
+                val piece = new Cohort(c.arrivalSec, c.work * f, c.tuples * f)
+                secBackpressured += rt.tasks(t).enqueue(piece, config.maxQueueSec)
+              }
+            }
+            secMigrationBytes += r.bytes
+            repartLog += RepartitionRecord(r.startSec, rt.op.name, r.moves.length,
+              r.pauseEndSec - r.startSec, r.drainEndSec - r.pauseEndSec,
+              r.routingSec, r.migrateSec, r.bytes)
+            active(op) = null
+          }
+      }
+    }
+  }
+
+  /** Executor-centric (Elasticutor): y elastic executors per operator with
+    * cores from the model-based scheduler, intra-executor load balancing,
+    * and per-shard consistent reassignment (§3.3).
+    */
+  private final class ExecutorCentricController(p: Paradigm.ExecutorCentric)
+    extends Controller(capsRemoteNic = true) {
+    private var lastBalance = 0.0
+    private var lastSchedule = 0.0
+
+    def tier1Of(op: Int): (Int, Int) = (config.executorsOf(ops(op).name), config.shardsPerExecutor)
+
+    def layout(): IndexedSeq[IndexedSeq[ExecutorRuntime]] = {
+      var node = 0
+      val out = for (j <- ops.indices) yield {
+        val y = config.executorsOf(ops(j).name)
+        val (_, z) = tier1Of(j)
+        for (e <- 0 until y) yield {
+          val local = node % numNodes
+          node += 1
+          new ExecutorRuntime(ops(j), e, z, local, IndexedSeq(local))
+        }
+      }
+      val totalExecs = out.map(_.length).sum
+      require(totalExecs <= cluster.totalCores,
+        s"$totalExecs executors need at least that many cores; cluster has ${cluster.totalCores}")
+      out
+    }
+
+    /** Provision executors with the real scheduler, installing tasks and
+      * balanced shard maps directly — no protocol, no cost.
+      */
+    override def warmStart(rates: Array[Double]): Unit =
+      decide(rt => rates(opIdx(rt.op.name)) * rt.totalShare).assignment.foreach { a =>
+        for (j <- allExecs.indices) {
+          val rt = allExecs(j)
+          val nodes = (0 until numNodes).flatMap(i => Seq.fill(a.cores(i)(j))(i))
+          if (nodes.nonEmpty && nodes.length != rt.tasks.length) {
+            rt.tasks.clear()
+            rt.tasks ++= nodes.map(new TaskRuntime(_))
+          }
+          installBalancedMap(rt, rates(opIdx(rt.op.name)))
+        }
+      }
+
+    override def advanceProtocols(): Unit = allExecs.foreach(advanceMoves)
+
+    override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = {
+      if (shuffled || now - lastBalance >= p.balancePeriodSec) {
+        lastBalance = now
+        for (j <- ops.indices; rt <- execs(j)) maybeRebalance(rt, rates(j))
+      }
+      if (now - lastSchedule >= p.schedulePeriodSec && now > 0) {
+        lastSchedule = now
+        val decision = decide(_.windowArrivals / p.schedulePeriodSec)
+        allExecs.foreach(_.windowArrivals = 0.0)
+        schedMillis += decision.wallClockMillis
+        decision.assignment.foreach { a =>
+          for (j <- allExecs.indices) {
+            val rt = allExecs(j)
+            applyAssignment(rt, Array.tabulate(numNodes)(i => a.cores(i)(j)), rates(opIdx(rt.op.name)))
+          }
+        }
+      }
+    }
+
+    /** One scheduler call on each executor's arrival rate `lambdaOf(rt)`
+      * (tuples/s), from the currently installed assignment X̃.
+      */
+    private def decide(lambdaOf: ExecutorRuntime => Double): DynamicScheduler.Decision = {
+      val lambdas = allExecs.map(lambdaOf)
+      // λ is inflated by θ: the M/M/k model pools an executor's cores into one
+      // queue, but real tasks tolerate up to θ× the mean load (§3.1), so the
+      // hottest task needs θ·λ/k < μ — provisioning for θλ guarantees it.
+      val loads = allExecs.lazyZip(lambdas).map((rt, lambda) =>
+        QueueingModel.ExecutorLoad(lambda * config.theta, 1.0 / rt.op.cpuSecPerTuple))
+      val infos = allExecs.lazyZip(lambdas).map((rt, lambda) =>
+        CpuAssignment.ExecutorInfo(rt.localNode, rt.stateBytes,
+          lambda * (rt.op.tupleBytes + rt.op.outBytes) / math.max(1, rt.tasks.length)))
+      val prev = CpuAssignment.Assignment(
+        IndexedSeq.tabulate(numNodes)(i => allExecs.map(_.coresPerNode(numNodes)(i))))
+      val capacity = IndexedSeq.fill(numNodes)(cluster.coresPerNode)
+      if (p.naive) DynamicScheduler.scheduleNaive(loads, infos, prev, capacity, config.latencyTargetSec)
+      else DynamicScheduler.schedule(loads, infos, prev, capacity, config.latencyTargetSec, config.phi0)
+    }
+
+    /** Install a new per-node core count vector on one executor: diff against
+      * current tasks, retire/add tasks, and launch the shard moves that
+      * rebalance onto the new task set.
+      */
+    private def applyAssignment(rt: ExecutorRuntime, newCounts: Array[Int], opRate: Double): Unit = {
+      if (rt.activeMoves.nonEmpty || rt.retiring.nonEmpty) return
+      if (java.util.Arrays.equals(rt.coresPerNode(numNodes), newCounts)) return
+      if (newCounts.sum == 0) return // never strip the last core
+
+      // Per node: keep the first tasks up to the new count, retire the rest,
+      // and add fresh tasks for any shortfall.
+      val (kept, dropped) = (0 until numNodes).map(node =>
+        rt.tasks.filter(_.node == node).splitAt(newCounts(node))).unzip
+      val newTasks = kept.flatten ++ (0 until numNodes).flatMap(node =>
+        Seq.fill(newCounts(node) - kept(node).length)(new TaskRuntime(node)))
+      val removed = dropped.flatten
+      val n = newTasks.length
+
+      // Removed tasks are numbered after the new task set, so `resize`
+      // evacuates their shards (its forced moves, FFD onto the least-loaded
+      // new task) before refining the balance.
+      val index: Map[TaskRuntime, Int] = (newTasks ++ removed).zipWithIndex.toMap
+      val current = IndexedSeq.tabulate(rt.numShards)(s => index(rt.tasks(rt.shardMap.taskOf(s))))
+      val reb = LoadBalancer.resize(rt.shardLoads(opRate), current, n + removed.length, n, config.theta)
+      val (forced, refine) = reb.moves.partition(_.fromTask >= n)
+      val base = current.toArray
+      forced.foreach(m => base(m.shard) = m.toTask)
+
+      // Install the new task set and the renumbered map (renumbering survivor
+      // indices is pure bookkeeping, not a migration); each forced shard
+      // still leaves its removed task through the protocol.
+      rt.tasks.clear(); rt.tasks ++= newTasks
+      rt.retiring ++= removed
+      rt.shardMap.replaceAll(base.toIndexedSeq)
+      for (m <- forced) startMove(rt, m.shard, removed(m.fromTask - n), m.toTask)
+      for (m <- LoadBalancer.collapse(refine) if !rt.shardPaused(m.shard))
+        startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
+      rt.refreshTaskShares()
+    }
+
+    /** Periodic intra-executor balance check. */
+    private def maybeRebalance(rt: ExecutorRuntime, opRate: Double): Unit = {
+      if (rt.activeMoves.nonEmpty || rt.tasks.length < 2) return
+      if (rt.imbalance <= config.theta) return
+      val loads = rt.shardLoads(opRate)
+      val reb = LoadBalancer.rebalance(loads, rt.shardMap.snapshot, rt.tasks.length, config.theta)
+      for (m <- LoadBalancer.collapse(reb.moves)) startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
+      rt.refreshTaskShares()
+    }
+
+    private def startMove(rt: ExecutorRuntime, shard: Int, fromTask: TaskRuntime, toTask: Int): Unit = {
+      val interNode = fromTask.node != rt.tasks(toTask).node
+      rt.shardPaused(shard) = true
+      rt.activeMoves += new ShardMoveOp(shard, fromTask, toTask, currentSec,
+        rt.op.statePerShardBytes, interNode)
+    }
+
+    private def advanceMoves(rt: ExecutorRuntime): Unit = {
+      if (rt.activeMoves.isEmpty) return
+      var changed = false
+      var i = 0
+      while (i < rt.activeMoves.length) {
+        val m = rt.activeMoves(i)
+        m.phase match {
+          case ShardMoveOp.Draining =>
+            if (m.fromTask.drainedWork + 1e-9 >= m.drainTarget) {
+              m.syncEndSec = currentSec + cluster.shardSyncOverheadSec
+              m.migrateEndSec = m.syncEndSec +
+                (if (m.interNode) cluster.transferSec(m.stateBytes) else 0.0)
+              m.phase = ShardMoveOp.Migrating
+            }
+          case ShardMoveOp.Migrating =>
+            if (currentSec >= m.migrateEndSec) {
+              rt.shardMap.reassign(m.shard, m.toTaskIndex)
+              rt.shardPaused(m.shard) = false
+              val dst = rt.tasks(m.toTaskIndex)
+              m.hold.foreach(c => secBackpressured += dst.enqueue(c, config.maxQueueSec))
+              val bytes = if (m.interNode) m.stateBytes else 0.0
+              if (m.interNode) { secMigrationBytes += bytes }
+              moveLog += MoveRecord(m.startSec, rt.op.name, m.interNode,
+                m.syncEndSec - m.startSec, m.migrateEndSec - m.syncEndSec, bytes)
+              m.phase = ShardMoveOp.Done
+              changed = true
+            }
+          case _ => ()
+        }
+        i += 1
+      }
+      if (changed) {
+        rt.activeMoves.filterInPlace(_.phase != ShardMoveOp.Done)
+        // Retired tasks whose shards have all left and queues drained free up.
+        rt.retiring.filterInPlace(t => !(t.isDrained &&
+          rt.activeMoves.forall(_.fromTask ne t)))
+        rt.refreshTaskShares()
+      }
+    }
+  }
 }

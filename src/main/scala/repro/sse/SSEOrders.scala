@@ -6,9 +6,9 @@ import org.apache.spark.sql.types._
 
 /** Spark-side synthetic SSE limit-order generator (DESIGN.md §2: substitute
   * for the proprietary trace). Deterministic in (rows, seed) so the DuckDB
-  * oracle sees identical input. Stock popularity is zipf-like via the same
-  * inverse-CDF trick as [[repro.SynthData.zipfKeys]]; prices random-walk
-  * around a per-stock base so orders actually cross and trade.
+  * oracle sees identical input. Stock popularity is zipf-like via an
+  * inverse-CDF draw over rank weights 1/k^α; prices random-walk around a
+  * per-stock base so orders actually cross and trade.
   */
 object SSEOrders {
 

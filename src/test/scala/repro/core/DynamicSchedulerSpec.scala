@@ -52,6 +52,22 @@ class DynamicSchedulerSpec extends AnyFunSuite {
       s"optimizing scheduler must not migrate more state than naive ($optCost vs $naiveCost)")
   }
 
+  test("naive and optimised decisions share one clip when demand exceeds the cluster") {
+    // Stability minima k = (3, 2) on 4 cores: proportional shedding rounds
+    // to (2, 1) and the leftover core must still be handed out, identically
+    // for both assigners (naive-EC differs only in placement, §5.4).
+    val loads = IndexedSeq(ExecutorLoad(2500, 1000), ExecutorLoad(1500, 1000))
+    val execs = IndexedSeq(ExecutorInfo(0, MB, 0.0), ExecutorInfo(1, MB, 0.0))
+    val prev = Assignment.oneCoreLocal(execs, 2, 2)
+    val opt = DynamicScheduler.schedule(loads, execs, prev, IndexedSeq(2, 2), 0.01)
+    val naive = DynamicScheduler.scheduleNaive(loads, execs, prev, IndexedSeq(2, 2), 0.01)
+    assert(opt.allocation.cores == IndexedSeq(3, 2) && !opt.allocation.feasible)
+    val (o, n) = (opt.assignment.get, naive.assignment.get)
+    for (j <- execs.indices)
+      assert(o.totalOf(j) == n.totalOf(j), s"executor $j: opt ${o.cores} vs naive ${n.cores}")
+    assert(execs.indices.map(o.totalOf).sum == 4, "every core handed out")
+  }
+
   test("scheduling wall clock is milliseconds even at 32-node scale") {
     // Table 3's claim: the decision procedure itself is a few ms at m=108
     // executors, n=32 nodes.
@@ -68,7 +84,7 @@ class DynamicSchedulerSpec extends AnyFunSuite {
   test("rejects mismatched inputs") {
     val loads = IndexedSeq(ExecutorLoad(1, 10))
     val execs = IndexedSeq.empty[ExecutorInfo]
-    val prev = Assignment.empty(1, 0)
+    val prev = Assignment(IndexedSeq(IndexedSeq.empty[Int]))
     intercept[IllegalArgumentException](
       DynamicScheduler.schedule(loads, execs, prev, IndexedSeq(4), 0.05))
   }

@@ -124,6 +124,20 @@ class LoadBalancerSpec extends AnyFunSuite with PropHelpers {
     assert(forced.map(_.shard).toSet == Set(2, 3, 6, 7))
   }
 
+  test("resize swaps a removed task for an added one") {
+    // A core moving between nodes: task 2 is new and empty, task 3 (indexed
+    // after the new task set) is removed, so the task count stays at 3.
+    val loads = IndexedSeq.tabulate(12)(i => 1.0 + i % 3)
+    val start = IndexedSeq(0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3)
+    val r = resize(loads, start, oldNumTasks = 4, newNumTasks = 3)
+    val forced = r.moves.filter(_.fromTask >= 3)
+    assert(forced.nonEmpty && forced.forall(_.fromTask == 3), s"forced moves: $forced")
+    assert(forced.map(_.shard).toSet == start.indices.filter(start(_) == 3).toSet)
+    assert(r.assignment.forall(_ < 3), "no shard may stay on the removed task")
+    val survivorShards = start.indices.filter(start(_) < 3).toSet
+    assert(forced.forall(m => !survivorShards(m.shard)), "survivors' shards are not forced")
+  }
+
   test("rejects invalid arguments") {
     intercept[IllegalArgumentException](imbalance(IndexedSeq(1.0), IndexedSeq(0), 0))
     intercept[IllegalArgumentException](rebalance(IndexedSeq(1.0), IndexedSeq(0, 1), 2))
