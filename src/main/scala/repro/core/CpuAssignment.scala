@@ -8,13 +8,21 @@ package repro.core
   * their cores on their local node (computation-locality constraint).
   *
   * The exact problem is NP-hard (reduces to multiprocessor scheduling); the
-  * paper's greedy takes cores from over-provisioned executors one at a time,
-  * always choosing the reassignment with the smallest
-  * deallocation(+allocation) overhead:
-  *   C⁺_ij(X) = s_j (X_j − x_ij) / (X_j (X_j + 1))
-  *   C⁻_ij(X) = s_j (X_j − x_ij) / (X_j (X_j − 1))
-  * If no feasible move exists the algorithm FAILs and the caller doubles the
-  * data-intensity threshold φ and retries.
+  * paper's greedy moves one core at a time, always the move with the
+  * smallest overhead:
+  *   C⁺_ij(X) = s_j (X_j − x_ij) / (X_j (X_j + 1))   (grant j a core of node i)
+  *   C⁻_ij(X) = s_j (X_j − x_ij) / (X_j (X_j − 1))   (release one of j's cores on i)
+  * It runs in two passes. First each executor above its target releases
+  * cores at minimum C⁻ until it is at its target. Then the executors below
+  * target, in descending data intensity, are granted free cores at minimum
+  * C⁺; one whose intensity exceeds φ takes cores on its local node only.
+  * The paper's steal move (C⁻ + C⁺: take a core from an over-provisioned
+  * executor and grant it) is subsumed by the shrink pass: once it has run,
+  * no executor is over-provisioned and every core a steal could take is
+  * already free. If an executor cannot be granted a core the run FAILs and
+  * the caller doubles φ and retries. The shrink pass does not depend on φ,
+  * so retries repeat only the grow pass. Cost per decision, n nodes and m
+  * executors: O(n·m + Σ_j |Δk_j|·n).
   */
 object CpuAssignment {
 
@@ -97,78 +105,8 @@ object CpuAssignment {
                  prev: Assignment,
                  nodeCapacity: IndexedSeq[Int],
                  execs: IndexedSeq[ExecutorInfo],
-                 phi: Double): Result = {
-    val n = nodeCapacity.length
-    val m = execs.length
-    require(target.length == m, s"target ${target.length} != executors $m")
-    require(prev.numNodes == n && prev.numExecutors == m,
-      s"prev assignment shape ${prev.numNodes}x${prev.numExecutors} != ${n}x$m")
-    val x = Array.tabulate(n, m)((i, j) => prev.cores(i)(j))
-    val xTot = Array.tabulate(m)(j => (0 until n).map(x(_)(j)).sum)
-    val usedOn = Array.tabulate(n)(i => x(i).sum)
-    // `prev` may transiently oversubscribe a node (the runtime defers
-    // applying a shrink while shard moves are in flight); the shrink pass
-    // below works it off rather than rejecting the input.
-
-    def isIntensive(j: Int): Boolean = execs(j).dataIntensity > phi
-    def over(j: Int): Boolean = xTot(j) > target(j)
-
-    // Shrink-before-grow: release cores of over-provisioned executors first
-    // (cheapest C⁻ per core) so growth below can use them as free capacity.
-    for (j <- 0 until m) {
-      while (xTot(j) > target(j)) {
-        val i = (0 until n).filter(x(_)(j) > 0)
-          .minBy(i => cMinus(execs(j).stateBytes, xTot(j), x(i)(j)))
-        x(i)(j) -= 1
-        xTot(j) -= 1
-        usedOn(i) -= 1
-      }
-    }
-
-    val under = (0 until m).filter(j => xTot(j) < target(j))
-      .sortBy(j => -execs(j).dataIntensity)
-
-    for (j <- under) {
-      while (xTot(j) < target(j)) {
-        val allowedNodes: Range =
-          if (isIntensive(j)) execs(j).localNode to execs(j).localNode else 0 until n
-        // A free core costs only the allocation side; taking from an
-        // over-provisioned executor costs C⁻ + C⁺.
-        var bestCost = Double.PositiveInfinity
-        var bestNode = -1
-        var bestVictim = -1 // -1 means free core
-        for (i <- allowedNodes) {
-          if (usedOn(i) < nodeCapacity(i)) {
-            val c = cPlus(execs(j).stateBytes, xTot(j), x(i)(j))
-            if (c < bestCost) { bestCost = c; bestNode = i; bestVictim = -1 }
-          }
-          for (v <- 0 until m) {
-            if (v != j && over(v) && x(i)(v) > 0) {
-              // A data-intensive victim must keep its cores local: never
-              // steal from an intensive executor on its own local node
-              // (that would break the locality constraint we just enforced).
-              val victimMovable = !isIntensive(v) || i != execs(v).localNode || xTot(v) - 1 >= 1
-              if (victimMovable) {
-                val c = cMinus(execs(v).stateBytes, xTot(v), x(i)(v)) +
-                  cPlus(execs(j).stateBytes, xTot(j), x(i)(j))
-                if (c < bestCost) { bestCost = c; bestNode = i; bestVictim = v }
-              }
-            }
-          }
-        }
-        if (bestNode < 0) return Fail
-        if (bestVictim >= 0) {
-          x(bestNode)(bestVictim) -= 1
-          xTot(bestVictim) -= 1
-          usedOn(bestNode) -= 1
-        }
-        x(bestNode)(j) += 1
-        xTot(j) += 1
-        usedOn(bestNode) += 1
-      }
-    }
-    Success(Assignment(x.map(_.toIndexedSeq).toIndexedSeq))
-  }
+                 phi: Double): Result =
+    shrinkThenGrow(target, prev, nodeCapacity, execs)(phi)
 
   /** Full scheduler assignment step: run Algorithm 1 at φ = `phi0`
     * (512 KB/s paper default) and double φ on FAIL until feasible (§4.2).
@@ -181,11 +119,12 @@ object CpuAssignment {
              execs: IndexedSeq[ExecutorInfo],
              phi0: Double = 512.0 * 1024): (Option[Assignment], Double) = {
     require(phi0 > 0, s"phi0 must be positive: $phi0")
+    val growAt = shrinkThenGrow(target, prev, nodeCapacity, execs)
     var phi = phi0
     val maxIntensity = if (execs.isEmpty) 0.0 else execs.map(_.dataIntensity).max
     var attempts = 0
     while (attempts < 64) {
-      assignOnce(target, prev, nodeCapacity, execs, phi) match {
+      growAt(phi) match {
         case Success(a) => return (Some(a), phi)
         case Fail =>
           if (phi > maxIntensity) return (None, phi) // constraint-free and still infeasible
@@ -194,6 +133,101 @@ object CpuAssignment {
       }
     }
     (None, phi)
+  }
+
+  /** Run the shrink pass, which does not depend on φ, and return the grow
+    * pass as a function of φ; each grow works on a copy of the shrunk X̃.
+    * Both passes break ties towards the lowest node.
+    */
+  private def shrinkThenGrow(target: IndexedSeq[Int],
+                             prev: Assignment,
+                             nodeCapacity: IndexedSeq[Int],
+                             execs: IndexedSeq[ExecutorInfo]): Double => Result = {
+    val n = nodeCapacity.length
+    val m = execs.length
+    require(target.length == m, s"target ${target.length} != executors $m")
+    require(target.forall(_ >= 0), s"negative target: $target")
+    require(prev.numNodes == n && prev.numExecutors == m,
+      s"prev assignment shape ${prev.numNodes}x${prev.numExecutors} != ${n}x$m")
+    // `prev` may transiently oversubscribe a node (the runtime defers
+    // applying a shrink while shard moves are in flight). It is taken as
+    // is: only executors above target release cores, so a node whose
+    // executors are all at or below target stays oversubscribed in the
+    // result; growth just adds nothing there.
+
+    // While loops throughout: the in-sim scheduler runs mostly before the
+    // JIT has compiled it, where closures and boxing cost the most.
+    val x = Array.ofDim[Int](n, m)
+    val xTot = new Array[Int](m)
+    val usedOn = new Array[Int](n)
+    var i = 0
+    while (i < n) {
+      val row = prev.cores(i)
+      var j = 0
+      while (j < m) {
+        x(i)(j) = row(j)
+        xTot(j) += row(j)
+        usedOn(i) += row(j)
+        j += 1
+      }
+      i += 1
+    }
+
+    var j = 0
+    while (j < m) {
+      val s = execs(j).stateBytes
+      while (xTot(j) > target(j)) {
+        // Ties go to the lowest node; `compare` orders NaN above +∞.
+        var best = -1
+        var bestCost = 0.0
+        i = 0
+        while (i < n) {
+          if (x(i)(j) > 0) {
+            val c = cMinus(s, xTot(j), x(i)(j))
+            if (best < 0 || java.lang.Double.compare(c, bestCost) < 0) { best = i; bestCost = c }
+          }
+          i += 1
+        }
+        x(best)(j) -= 1
+        xTot(j) -= 1
+        usedOn(best) -= 1
+      }
+      j += 1
+    }
+    val under = (0 until m).filter(j => xTot(j) < target(j))
+      .sortBy(j => -execs(j).dataIntensity).toArray
+    val cap = nodeCapacity.toArray
+
+    def grow(phi: Double): Result = {
+      val xg = x.map(_.clone)
+      val xTotG = xTot.clone
+      val usedOnG = usedOn.clone
+      var u = 0
+      while (u < under.length) {
+        val j = under(u)
+        val e = execs(j)
+        val (lo, hi) = if (e.dataIntensity > phi) (e.localNode, e.localNode) else (0, n - 1)
+        while (xTotG(j) < target(j)) {
+          var best = -1
+          var bestCost = Double.PositiveInfinity
+          var i = lo
+          while (i <= hi) {
+            if (usedOnG(i) < cap(i)) {
+              val c = cPlus(e.stateBytes, xTotG(j), xg(i)(j))
+              if (c < bestCost) { bestCost = c; best = i }
+            }
+            i += 1
+          }
+          if (best < 0) return Fail
+          xg(best)(j) += 1
+          xTotG(j) += 1
+          usedOnG(best) += 1
+        }
+        u += 1
+      }
+      Success(Assignment(xg.map(_.toIndexedSeq).toIndexedSeq))
+    }
+    grow
   }
 
   /** The naive-EC assignment (§5.4): same allocation vector **k**, but the

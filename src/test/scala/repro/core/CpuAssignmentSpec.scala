@@ -1,9 +1,11 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropHelpers
 import repro.core.CpuAssignment._
+import scala.util.Random
 
-class CpuAssignmentSpec extends AnyFunSuite {
+class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
 
   private val MB = 1024.0 * 1024
 
@@ -154,5 +156,59 @@ class CpuAssignmentSpec extends AnyFunSuite {
     val optNodes = (0 until 4).count(i => opt.cores(i)(0) > 0)
     assert(optNodes <= naiveNodes, s"opt=$optNodes naive=$naiveNodes")
     assert(optNodes == 1, "optimizing assigner keeps the executor local")
+  }
+
+  /** A random Algorithm 1 input: 1–8 nodes, 1–24 executors, some of them
+    * stateless, some holding no core; extra cores scattered over `prev`,
+    * sometimes past a node's capacity; intensities on both sides of 512 KB/s
+    * and targets on both sides of the current totals, their sum sometimes
+    * above the cluster's capacity.
+    */
+  private def randomInput(rng: Random)
+      : (IndexedSeq[Int], Assignment, IndexedSeq[Int], IndexedSeq[ExecutorInfo]) = {
+    val n = 1 + rng.nextInt(8)
+    val m = 1 + rng.nextInt(24)
+    val cap = IndexedSeq.fill(n)(rng.nextInt(9))
+    val phi0 = 512.0 * 1024
+    val execs = IndexedSeq.fill(m) {
+      val state = if (rng.nextInt(5) == 0) 0.0 else (1 + rng.nextInt(4)) * 8 * MB
+      val intensity = rng.nextInt(5) match {
+        case 0 => 0.0
+        case 1 => phi0 * rng.nextDouble()
+        case 2 => phi0
+        case 3 => phi0 * (1 + 7 * rng.nextDouble())
+        case _ => phi0 * 64 * rng.nextDouble()
+      }
+      ExecutorInfo(rng.nextInt(n), state, intensity)
+    }
+    val x = Array.fill(n, m)(0)
+    val used = Array.fill(n)(0)
+    def place(i: Int, j: Int, overflow: Boolean): Unit =
+      if (used(i) < cap(i) || overflow) { x(i)(j) += 1; used(i) += 1 }
+    for (j <- 0 until m if rng.nextInt(6) != 0) place(execs(j).localNode, j, overflow = false)
+    val overflow = rng.nextInt(4) == 0
+    for (_ <- 0 until rng.nextInt(3 * m)) place(rng.nextInt(n), rng.nextInt(m), overflow)
+    val target = IndexedSeq.tabulate(m) { j =>
+      val total = (0 until n).map(x(_)(j)).sum
+      math.max(0, total + rng.nextInt(7) - 3 + (if (rng.nextInt(4) == 0) rng.nextInt(6) else 0))
+    }
+    (target, Assignment(x.map(_.toIndexedSeq).toIndexedSeq), cap, execs)
+  }
+
+  test("assignOnce and assign match the victim-scanning reference exactly") {
+    var successes, fails, overSubscribed, overCapacity = 0
+    forSeeds(2500) { rng =>
+      val (target, prev, cap, execs) = randomInput(rng)
+      val phi = 512.0 * 1024 * math.pow(2, rng.nextInt(8) - 2)
+      val once = assignOnce(target, prev, cap, execs, phi)
+      assert(once == CpuAssignmentReference.assignOnce(target, prev, cap, execs, phi))
+      if (once == Fail) fails += 1 else successes += 1
+      assert(assign(target, prev, cap, execs) == CpuAssignmentReference.assign(target, prev, cap, execs))
+      if (cap.indices.exists(i => prev.usedOn(i) > cap(i))) overSubscribed += 1
+      if (target.sum > cap.sum) overCapacity += 1
+    }
+    // The generator reaches both outcomes and both kinds of overload.
+    assert(Seq(successes, fails, overSubscribed, overCapacity).forall(_ > 100),
+      s"success $successes fail $fails oversubscribed $overSubscribed over capacity $overCapacity")
   }
 }
