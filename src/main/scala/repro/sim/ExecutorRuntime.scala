@@ -16,15 +16,13 @@ final class Cohort(val arrivalSec: Double, var work: Double, var tuples: Double)
 final class CompletionStats {
   var tuples: Double = 0.0
   var latencySum: Double = 0.0
-  private val hist = new Array[Double](120) // 1 µs .. 1e6 s, log10 buckets ×10
+  private val hist = new Array[Double](CompletionStats.Buckets) // 1 µs .. 1e6 s, log10 buckets ×10
 
   def record(n: Double, latencySec: Double): Unit = {
     if (n <= 0) return
     tuples += n
     latencySum += n * latencySec
-    val l = math.max(latencySec, 1e-6)
-    val idx = math.min(hist.length - 1, math.max(0, ((math.log10(l) + 6.0) * 10).toInt))
-    hist(idx) += n
+    hist(CompletionStats.bucketOf(latencySec)) += n
   }
 
   def meanLatency: Double = if (tuples <= 0) 0.0 else latencySum / tuples
@@ -52,10 +50,48 @@ final class CompletionStats {
   }
 }
 
+object CompletionStats {
+  final val Buckets = 120
+
+  /** Bucket `i` of a latency `l` is `((log10(max(l, 1e-6)) + 6) * 10).toInt`,
+    * clamped to `[0, Buckets)`. That formula is non-decreasing in `l`
+    * (`Math.log10` is semi-monotonic and every later step is monotonic), so
+    * `edges(k - 1)`, the smallest double whose bucket is at least `k`, found
+    * by bisecting the bit patterns of the non-negative doubles, turns it
+    * into a table: the bucket is the number of edges at or below `l`.
+    */
+  private[sim] val edges: Array[Double] = Array.tabulate(Buckets - 1) { i =>
+    def bucket(l: Double): Int =
+      math.min(Buckets - 1, math.max(0, ((math.log10(math.max(l, 1e-6)) + 6.0) * 10).toInt))
+    val k = i + 1
+    var lo = java.lang.Double.doubleToLongBits(0.0) // bucket(lo) < k
+    var hi = java.lang.Double.doubleToLongBits(Double.MaxValue) // bucket(hi) >= k
+    while (hi - lo > 1) {
+      val mid = (lo + hi) >>> 1
+      if (bucket(java.lang.Double.longBitsToDouble(mid)) >= k) hi = mid else lo = mid
+    }
+    java.lang.Double.longBitsToDouble(hi)
+  }
+
+  /** Histogram bucket of a latency: a binary search over `edges`, so a NaN
+    * or negative latency lands in bucket 0 and +∞ in the last one, as they
+    * do under the formula.
+    */
+  def bucketOf(latencySec: Double): Int = {
+    var lo = 0
+    var hi = edges.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (edges(mid) <= latencySec) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+}
+
 /** One data-processing thread bound to one CPU core (§3.2). Holds a FIFO
   * pending queue of cohorts; drains one core's worth of work per tick.
   */
-final class TaskRuntime(var node: Int) {
+final class TaskRuntime(val node: Int) {
   private val queue = mutable.ArrayDeque.empty[Cohort]
   var queuedWork: Double = 0.0
   var queuedTuples: Double = 0.0
@@ -195,56 +231,75 @@ final class ExecutorRuntime(val op: OperatorSpec,
   /** Tasks being decommissioned: keep draining until their moves finish. */
   val retiring: mutable.ArrayBuffer[TaskRuntime] = mutable.ArrayBuffer.empty
 
-  /** Current weight (fraction of the operator's input) of each local shard;
-    * refreshed by the engine when the key distribution changes.
+  /** Current weight (fraction of the operator's input) of each local shard.
+    * Written only by [[setShardWeights]], which refreshes the cached shares.
     */
-  val shardWeight: Array[Double] = new Array[Double](numShards)
-  /** True while the shard's routing is paused by an in-flight move. */
+  private val weights: Array[Double] = new Array[Double](numShards)
+  /** True while the shard's routing is paused by an in-flight move. Whoever
+    * pauses or unpauses shards calls [[refreshTaskShares]] before the next
+    * tick routes by the shares.
+    */
   val shardPaused: Array[Boolean] = new Array[Boolean](numShards)
 
-  /** Σ weight of unpaused shards per task — the per-tick routing vector. */
-  var taskShare: Array[Double] = new Array[Double](tasks.length)
+  private var shares: Array[Double] = new Array[Double](tasks.length)
+  private var shareTotal: Double = 0.0
+  private var shareRemote: Double = 0.0
 
   val activeMoves: mutable.ArrayBuffer[ShardMoveOp] = mutable.ArrayBuffer.empty
 
   /** Tuples admitted (arrival measurement window for the scheduler). */
   var windowArrivals: Double = 0.0
 
+  def shardWeight(shard: Int): Double = weights(shard)
+
+  /** Install the weights `w(from until from + numShards)` (this executor's
+    * slice of the operator's global shard weights) and refresh the shares.
+    */
+  def setShardWeights(w: Array[Double], from: Int = 0): Unit = {
+    System.arraycopy(w, from, weights, 0, numShards)
+    refreshTaskShares()
+  }
+
+  /** Recompute the cached shares from the weights, pauses, shard map and
+    * task set. This is the executor's only O(numShards) step; it runs when
+    * one of those changes, never per tick.
+    */
   def refreshTaskShares(): Unit = {
     val share = new Array[Double](tasks.length)
+    var sum = 0.0
     var s = 0
     while (s < numShards) {
+      val w = weights(s)
+      sum += w
       if (!shardPaused(s)) {
         val t = shardMap.taskOf(s)
-        if (t >= 0 && t < tasks.length) share(t) += shardWeight(s)
+        if (t >= 0 && t < tasks.length) share(t) += w
       }
       s += 1
     }
-    taskShare = share
+    var acc = 0.0
+    var t = 0
+    while (t < tasks.length) {
+      if (tasks(t).node != localNode) acc += share(t)
+      t += 1
+    }
+    shares = share
+    shareTotal = sum
+    shareRemote = acc
   }
+
+  /** Σ weight of unpaused shards per task — the per-tick routing vector. */
+  def taskShare: Array[Double] = shares
 
   /** Total weight share of this executor (paused shards included — they
     * still arrive, just into hold buffers).
     */
-  def totalShare: Double = {
-    var s = 0.0
-    var i = 0
-    while (i < numShards) { s += shardWeight(i); i += 1 }
-    s
-  }
+  def totalShare: Double = shareTotal
 
   /** Share arriving via remote tasks (node != localNode): the traffic that
     * crosses receiver/emitter to remote processes (§3.2).
     */
-  def remoteShare: Double = {
-    var acc = 0.0
-    var t = 0
-    while (t < tasks.length) {
-      if (tasks(t).node != localNode) acc += taskShare(t)
-      t += 1
-    }
-    acc
-  }
+  def remoteShare: Double = shareRemote
 
   /** Per-shard absolute load (CPU-seconds/second) at operator input rate
     * `opRate` — the balancer's workload statistics.
@@ -252,7 +307,7 @@ final class ExecutorRuntime(val op: OperatorSpec,
   def shardLoads(opRate: Double): IndexedSeq[Double] = {
     val arr = new Array[Double](numShards)
     var s = 0
-    while (s < numShards) { arr(s) = opRate * shardWeight(s) * op.cpuSecPerTuple; s += 1 }
+    while (s < numShards) { arr(s) = opRate * weights(s) * op.cpuSecPerTuple; s += 1 }
     arr.toIndexedSeq
   }
 

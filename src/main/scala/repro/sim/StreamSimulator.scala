@@ -59,6 +59,11 @@ final case class SecondMetric(sec: Int,
 
 /** Everything a bench needs from one run. Post-warmup aggregates plus the
   * full per-second series and per-operation protocol logs.
+  *
+  * @param deferredAssignments executor updates of applied scheduler
+  *                            decisions that were skipped because the
+  *                            executor still had shard moves or retiring
+  *                            tasks in flight (whole run, warm-up included)
   */
 final class SimResult(val perSecond: IndexedSeq[SecondMetric],
                       val moves: IndexedSeq[MoveRecord],
@@ -68,7 +73,8 @@ final class SimResult(val perSecond: IndexedSeq[SecondMetric],
                       val allOpsLatencySum: Double,
                       val totalMigrationBytes: Double,
                       val totalRemoteBytes: Double,
-                      val measuredSec: Double) {
+                      val measuredSec: Double,
+                      val deferredAssignments: Int) {
   /** Mean post-warmup throughput, tuples/s of the entry operator. */
   def throughput: Double = entryStats.tuples / measuredSec
   /** End-to-end mean latency per Eq. (1): Σ_ops λ_j E[T_j] / λ_0. */
@@ -96,6 +102,9 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
   require(opIdx.contains(workload.throughputOp), s"unknown throughput op ${workload.throughputOp}")
   private val entryOp = opIdx(workload.throughputOp)
   private val numNodes = cluster.numNodes
+  /** Per op: indices and selectivities of its downstream operators. */
+  private val downIdx: Array[Array[Int]] = ops.map(_.downstream.map(d => opIdx(d._1)).toArray).toArray
+  private val downSel: Array[Array[Double]] = ops.map(_.downstream.map(_._2).toArray).toArray
 
   // ---- per-run mutable state ----------------------------------------------
 
@@ -114,6 +123,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
   private var secRemoteBytes = 0.0
   private var secBackpressured = 0.0
   private var secOffered = 0.0
+  private var deferred = 0
+
+  /** Busy tasks per node in the current tick. */
+  private val busyOnNode = new Array[Int](numNodes)
 
   // ---- executor layout -----------------------------------------------------
 
@@ -134,7 +147,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     val r = new Array[Double](ops.length)
     for (j <- ops.indices) {
       r(j) += workload.externalRate(ops(j).name, t)
-      for ((d, sel) <- ops(j).downstream) r(opIdx(d)) += r(j) * sel
+      for (d <- downIdx(j).indices) r(downIdx(j)(d)) += r(j) * downSel(j)(d)
     }
     r
   }
@@ -157,22 +170,23 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val (y, z) = controller.tier1Of(j)
       val w = workload.shardWeights(ops(j).name, y, z)
       val perOp = execs(j)
-      for (e <- perOp.indices) {
-        val rt = perOp(e)
-        System.arraycopy(w, e * z, rt.shardWeight, 0, z)
-        rt.refreshTaskShares()
-      }
+      for (e <- perOp.indices) perOp(e).setShardWeights(w, e * z)
     }
   }
 
   // ---- main loop -----------------------------------------------------------
 
-  /** Run the simulation and return aggregated results. */
+  /** Run the simulation and return aggregated results. Per tick the work is
+    * O(operators + tasks + active moves): executors route by their cached
+    * shares, and shard-sized work happens only when weights, pauses or task
+    * sets change.
+    */
   def run(): SimResult = {
     val dt = config.tickSec
     val steps = math.round(config.durationSec / dt).toInt
     val secStats = Array.fill(ops.length)(new CompletionStats)
     val internalRate = new Array[Double](ops.length)
+    val rates = new Array[Double](ops.length)
     var nextSecond = 1.0
 
     refreshWeights()
@@ -189,13 +203,16 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       if (shuffled) refreshWeights()
 
       // Input rates: external plus internal emissions from the previous tick.
-      val rates = new Array[Double](ops.length)
-      for (j <- ops.indices)
+      var j = 0
+      while (j < ops.length) {
         rates(j) = workload.externalRate(ops(j).name, now) + internalRate(j)
+        j += 1
+      }
       secOffered += rates(entryOp) * dt
 
       // Arrivals.
-      for (j <- ops.indices) {
+      j = 0
+      while (j < ops.length) {
         controller.pausedHold(j) match {
           case Some(hold) =>
             // Operator paused: everything destined for it buffers.
@@ -204,51 +221,11 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
             val perOp = execs(j)
             var e = 0
             while (e < perOp.length) {
-              val rt = perOp(e)
-              val execTuples = rates(j) * rt.totalShare * dt
-              rt.windowArrivals += execTuples
-              // Remote NIC cap: the receiver forwards at most one NIC's
-              // worth of bytes to remote tasks per tick.
-              var remoteScale = 1.0
-              if (controller.capsRemoteNic) {
-                val rs = rt.remoteShare
-                if (rs > 0) {
-                  val demand = rates(j) * rs * dt * (rt.op.tupleBytes + rt.op.outBytes)
-                  val budget = cluster.networkBytesPerSec * dt
-                  if (demand > budget) remoteScale = budget / demand
-                  secRemoteBytes += math.min(demand, budget)
-                }
-              }
-              var t = 0
-              while (t < rt.tasks.length) {
-                val share = rt.taskShare(t)
-                if (share > 0) {
-                  val remote = controller.capsRemoteNic && rt.tasks(t).node != rt.localNode
-                  val scale = if (remote) remoteScale else 1.0
-                  val tuples = rates(j) * share * dt * scale
-                  if (remote && remoteScale < 1.0)
-                    secBackpressured += rates(j) * share * dt * (1 - remoteScale)
-                  if (tuples > 0) {
-                    val c = new Cohort(now, tuples * ops(j).cpuSecPerTuple, tuples)
-                    secBackpressured += rt.tasks(t).enqueue(c, config.maxQueueSec)
-                  }
-                }
-                t += 1
-              }
-              // Paused shards: buffer at the move's hold.
-              if (rt.activeMoves.nonEmpty) {
-                var i = 0
-                while (i < rt.activeMoves.length) {
-                  val m = rt.activeMoves(i)
-                  val w = rt.shardWeight(m.shard)
-                  if (w > 0)
-                    appendHold(m.hold, now, rates(j) * w * dt * ops(j).cpuSecPerTuple, rates(j) * w * dt)
-                  i += 1
-                }
-              }
+              arrive(perOp(e), rates(j), now, dt)
               e += 1
             }
         }
+        j += 1
       }
 
       // Service. A node can only supply coresPerNode core-ticks: when task
@@ -256,33 +233,30 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       // draining), every busy task on it gets a proportional share.
       val endOfTick = now + dt
       java.util.Arrays.fill(internalRate, 0.0)
-      val busyOnNode = new Array[Int](numNodes)
-      for (j <- ops.indices; rt <- execs(j)) {
-        rt.tasks.foreach(t => if (t.queuedWork > 0) busyOnNode(t.node) += 1)
-        rt.retiring.foreach(t => if (t.queuedWork > 0) busyOnNode(t.node) += 1)
+      java.util.Arrays.fill(busyOnNode, 0)
+      var x = 0
+      while (x < allExecs.length) {
+        countBusy(allExecs(x).tasks)
+        countBusy(allExecs(x).retiring)
+        x += 1
       }
-      def capacityOf(t: TaskRuntime): Double =
-        if (busyOnNode(t.node) <= cluster.coresPerNode) dt
-        else dt * cluster.coresPerNode / busyOnNode(t.node)
-      for (j <- ops.indices) {
+      j = 0
+      while (j < ops.length) {
         val perOp = execs(j)
         var completed = 0.0
         var e = 0
         while (e < perOp.length) {
-          val rt = perOp(e)
-          var t = 0
-          while (t < rt.tasks.length) {
-            completed += rt.tasks(t).drain(capacityOf(rt.tasks(t)), endOfTick, secStats(j))
-            t += 1
-          }
-          t = 0
-          while (t < rt.retiring.length) {
-            completed += rt.retiring(t).drain(capacityOf(rt.retiring(t)), endOfTick, secStats(j))
-            t += 1
-          }
+          completed = serve(perOp(e).tasks, completed, dt, endOfTick, secStats(j))
+          completed = serve(perOp(e).retiring, completed, dt, endOfTick, secStats(j))
           e += 1
         }
-        for ((d, sel) <- ops(j).downstream) internalRate(opIdx(d)) += completed * sel / dt
+        val down = downIdx(j)
+        var d = 0
+        while (d < down.length) {
+          internalRate(down(d)) += completed * downSel(j)(d) / dt
+          d += 1
+        }
+        j += 1
       }
 
       controller.advanceProtocols()
@@ -310,7 +284,78 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
     new SimResult(secMetrics.toIndexedSeq, moveLog.toIndexedSeq, repartLog.toIndexedSeq,
       schedMillis.toIndexedSeq, cumEntry, cumAllLatency, cumMigrationBytes, cumRemoteBytes,
-      math.max(config.durationSec - config.warmupSec, 1e-9))
+      math.max(config.durationSec - config.warmupSec, 1e-9), deferred)
+  }
+
+  /** Route one tick of executor `rt`'s input at operator rate `opRate`: a
+    * cohort per task with a positive share, and the paused shards' part into
+    * their moves' hold buffers.
+    */
+  private def arrive(rt: ExecutorRuntime, opRate: Double, now: Double, dt: Double): Unit = {
+    val cpuSecPerTuple = rt.op.cpuSecPerTuple
+    rt.windowArrivals += opRate * rt.totalShare * dt
+    // Remote NIC cap: the receiver forwards at most one NIC's worth of
+    // bytes to remote tasks per tick.
+    var remoteScale = 1.0
+    if (controller.capsRemoteNic) {
+      val rs = rt.remoteShare
+      if (rs > 0) {
+        val demand = opRate * rs * dt * (rt.op.tupleBytes + rt.op.outBytes)
+        val budget = cluster.networkBytesPerSec * dt
+        if (demand > budget) remoteScale = budget / demand
+        secRemoteBytes += math.min(demand, budget)
+      }
+    }
+    val shares = rt.taskShare
+    var t = 0
+    while (t < rt.tasks.length) {
+      val share = shares(t)
+      if (share > 0) {
+        val task = rt.tasks(t)
+        val remote = controller.capsRemoteNic && task.node != rt.localNode
+        val scale = if (remote) remoteScale else 1.0
+        val tuples = opRate * share * dt * scale
+        if (remote && remoteScale < 1.0)
+          secBackpressured += opRate * share * dt * (1 - remoteScale)
+        if (tuples > 0)
+          secBackpressured += task.enqueue(new Cohort(now, tuples * cpuSecPerTuple, tuples), config.maxQueueSec)
+      }
+      t += 1
+    }
+    // Paused shards: buffer at the move's hold.
+    var i = 0
+    while (i < rt.activeMoves.length) {
+      val m = rt.activeMoves(i)
+      val w = rt.shardWeight(m.shard)
+      if (w > 0)
+        appendHold(m.hold, now, opRate * w * dt * cpuSecPerTuple, opRate * w * dt)
+      i += 1
+    }
+  }
+
+  private def countBusy(ts: mutable.ArrayBuffer[TaskRuntime]): Unit = {
+    var t = 0
+    while (t < ts.length) {
+      if (ts(t).queuedWork > 0) busyOnNode(ts(t).node) += 1
+      t += 1
+    }
+  }
+
+  /** Drain each task in `ts` for one tick, at its share of its node's cores;
+    * returns `completed` plus the tuples they complete, added in task order.
+    */
+  private def serve(ts: mutable.ArrayBuffer[TaskRuntime], completed: Double, dt: Double,
+                    endOfTick: Double, stats: CompletionStats): Double = {
+    var acc = completed
+    var t = 0
+    while (t < ts.length) {
+      val task = ts(t)
+      val busy = busyOnNode(task.node)
+      val capacity = if (busy <= cluster.coresPerNode) dt else dt * cluster.coresPerNode / busy
+      acc += task.drain(capacity, endOfTick, stats)
+      t += 1
+    }
+    acc
   }
 
   /** Expose layout for tests: (op name, executors, tasks each). */
@@ -425,7 +470,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     override def pausedHold(op: Int): Option[mutable.ArrayBuffer[Cohort]] =
       if (active(op) == null) None else Some(active(op).hold)
 
-    override def advanceProtocols(): Unit = ops.indices.foreach(advance)
+    override def advanceProtocols(): Unit = {
+      var j = 0
+      while (j < ops.length) { advance(j); j += 1 }
+    }
 
     override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit =
       // RC's controller aggregates operator-level metrics globally; it
@@ -542,7 +590,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         }
       }
 
-    override def advanceProtocols(): Unit = allExecs.foreach(advanceMoves)
+    override def advanceProtocols(): Unit = {
+      var x = 0
+      while (x < allExecs.length) { advanceMoves(allExecs(x)); x += 1 }
+    }
 
     override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = {
       if (shuffled || now - lastBalance >= p.balancePeriodSec) {
@@ -585,12 +636,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
     /** Install a new per-node core count vector on one executor: diff against
       * current tasks, retire/add tasks, and launch the shard moves that
-      * rebalance onto the new task set.
+      * rebalance onto the new task set. A change that finds moves or
+      * retiring tasks still in flight is skipped and counted as deferred.
       */
     private def applyAssignment(rt: ExecutorRuntime, newCounts: Array[Int], opRate: Double): Unit = {
-      if (rt.activeMoves.nonEmpty || rt.retiring.nonEmpty) return
       if (java.util.Arrays.equals(rt.coresPerNode(numNodes), newCounts)) return
       if (newCounts.sum == 0) return // never strip the last core
+      if (rt.activeMoves.nonEmpty || rt.retiring.nonEmpty) { deferred += 1; return }
 
       // Per node: keep the first tasks up to the new count, retire the rest,
       // and add fresh tasks for any shortfall.

@@ -57,7 +57,7 @@ class ProtocolInvariantsSpec extends AnyFunSuite {
   test("executor pauses a shard while its move is active") {
     val rt = new ExecutorRuntime(op, 0, numShards = 4, localNode = 0,
       initialTaskNodes = IndexedSeq(0, 0))
-    (0 until 4).foreach(s => rt.shardWeight(s) = 0.25)
+    rt.setShardWeights(Array.fill(4)(0.25))
     rt.shardPaused(2) = true
     rt.refreshTaskShares()
     assert(math.abs(rt.taskShare.sum - 0.75) < 1e-9, "paused shard out of routing")
@@ -79,8 +79,7 @@ class ProtocolInvariantsSpec extends AnyFunSuite {
   test("shardLoads derive from rate, weight and cpu cost") {
     val rt = new ExecutorRuntime(op, 0, numShards = 2, localNode = 0,
       initialTaskNodes = IndexedSeq(0))
-    rt.shardWeight(0) = 0.75
-    rt.shardWeight(1) = 0.25
+    rt.setShardWeights(Array(0.75, 0.25))
     val loads = rt.shardLoads(1000.0)
     assert(math.abs(loads(0) - 0.75) < 1e-9, "750 t/s * 1 ms = 0.75 core")
     assert(math.abs(loads(1) - 0.25) < 1e-9)

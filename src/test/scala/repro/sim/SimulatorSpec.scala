@@ -174,6 +174,16 @@ class SimulatorSpec extends AnyFunSuite {
       s"opt ${opt.totalMigrationBytes} naive ${naive.totalMigrationBytes}")
   }
 
+  test("EC counts scheduler updates deferred by moves in flight") {
+    // At ω = 30 and 12 K tuples/s on 16 cores, some periodic decisions find
+    // an executor with shard moves in flight and skip it (4 on this run);
+    // static has no scheduler.
+    val r = new StreamSimulator(cfg(ec), micro(12000, 30, skew = 0.8)).run()
+    assert(r.deferredAssignments > 0, "expected at least one deferred executor update")
+    assert(new StreamSimulator(cfg(Paradigm.Static), micro(12000, 30, skew = 0.8)).run()
+      .deferredAssignments == 0)
+  }
+
   test("per-second series covers the run") {
     val r = new StreamSimulator(cfg(ec, duration = 12), micro(1000, 0)).run()
     assert(r.perSecond.map(_.sec) == (1 to 12))

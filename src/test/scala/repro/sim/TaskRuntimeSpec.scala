@@ -1,8 +1,9 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropHelpers
 
-class TaskRuntimeSpec extends AnyFunSuite {
+class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
 
   test("enqueue accumulates work and tuples") {
     val t = new TaskRuntime(0)
@@ -80,9 +81,7 @@ class TaskRuntimeSpec extends AnyFunSuite {
     val rt = new ExecutorRuntime(
       OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = 4, localNode = 0,
       initialTaskNodes = IndexedSeq(0, 0))
-    rt.shardWeight(0) = 0.7; rt.shardWeight(1) = 0.1
-    rt.shardWeight(2) = 0.1; rt.shardWeight(3) = 0.1
-    rt.refreshTaskShares()
+    rt.setShardWeights(Array(0.7, 0.1, 0.1, 0.1))
     // round-robin map: shards 0,2 -> task0 (0.8), shards 1,3 -> task1 (0.2)
     assert(math.abs(rt.imbalance - 1.6) < 1e-9)
   }
@@ -91,8 +90,7 @@ class TaskRuntimeSpec extends AnyFunSuite {
     val rt = new ExecutorRuntime(
       OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = 2, localNode = 0,
       initialTaskNodes = IndexedSeq(0, 1))
-    rt.shardWeight(0) = 0.5; rt.shardWeight(1) = 0.5
-    rt.refreshTaskShares()
+    rt.setShardWeights(Array(0.5, 0.5))
     assert(math.abs(rt.remoteShare - 0.5) < 1e-9)
   }
 
@@ -100,11 +98,66 @@ class TaskRuntimeSpec extends AnyFunSuite {
     val rt = new ExecutorRuntime(
       OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = 2, localNode = 0,
       initialTaskNodes = IndexedSeq(0))
-    rt.shardWeight(0) = 0.6; rt.shardWeight(1) = 0.4
+    rt.setShardWeights(Array(0.6, 0.4))
     rt.shardPaused(1) = true
     rt.refreshTaskShares()
     assert(math.abs(rt.taskShare(0) - 0.6) < 1e-9)
     assert(math.abs(rt.totalShare - 1.0) < 1e-9, "totalShare still counts paused arrivals")
+  }
+
+  /** The cached shares recomputed from scratch: `(taskShare, totalShare,
+    * remoteShare)` over the current weights, pauses, shard map and tasks.
+    */
+  private def freshShares(rt: ExecutorRuntime): (Seq[Double], Double, Double) = {
+    val share = new Array[Double](rt.tasks.length)
+    var total = 0.0
+    for (s <- 0 until rt.numShards) {
+      total += rt.shardWeight(s)
+      val t = rt.shardMap.taskOf(s)
+      if (!rt.shardPaused(s) && t < rt.tasks.length) share(t) += rt.shardWeight(s)
+    }
+    var remote = 0.0
+    for (t <- rt.tasks.indices if rt.tasks(t).node != rt.localNode) remote += share(t)
+    (share.toSeq, total, remote)
+  }
+
+  private def assertCacheFresh(rt: ExecutorRuntime, after: String): Unit =
+    assert((rt.taskShare.toSeq, rt.totalShare, rt.remoteShare) == freshShares(rt),
+      s"cached shares stale after $after")
+
+  test("ExecutorRuntime cached shares equal a fresh recomputation after every change") {
+    forSeeds(300) { rng =>
+      val z = 1 + rng.nextInt(64)
+      val nodes = 1 + rng.nextInt(4)
+      def taskNodes() = IndexedSeq.fill(1 + rng.nextInt(6))(rng.nextInt(nodes))
+      val rt = new ExecutorRuntime(OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = z,
+        localNode = rng.nextInt(nodes), initialTaskNodes = taskNodes())
+      def newWeights(): Unit = {
+        val offset = rng.nextInt(3) * z
+        rt.setShardWeights(Array.fill(offset + z)(rng.nextDouble()), offset)
+        assertCacheFresh(rt, "a weight refresh")
+      }
+      newWeights()
+      // Pause some shards (moves start), then unpause them (moves finish).
+      val paused = (0 until z).filter(_ => rng.nextBoolean())
+      paused.foreach(rt.shardPaused(_) = true)
+      rt.refreshTaskShares()
+      assertCacheFresh(rt, "a pause")
+      paused.foreach { s =>
+        rt.shardMap.reassign(s, rng.nextInt(rt.tasks.length))
+        rt.shardPaused(s) = false
+      }
+      rt.refreshTaskShares()
+      assertCacheFresh(rt, "an unpause")
+      // A new task set and renumbered map, as a scheduler assignment installs.
+      val next = taskNodes()
+      rt.tasks.clear()
+      rt.tasks ++= next.map(new TaskRuntime(_))
+      rt.shardMap.replaceAll(IndexedSeq.fill(z)(rng.nextInt(next.length)))
+      rt.refreshTaskShares()
+      assertCacheFresh(rt, "a task-set change")
+      newWeights()
+    }
   }
 
   test("ClusterSpec transfer time includes latency and bandwidth") {
