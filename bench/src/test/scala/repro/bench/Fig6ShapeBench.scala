@@ -1,6 +1,5 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.experiments.Experiments
 import repro.sim.SweepDriver

@@ -12,7 +12,7 @@ import repro.sim.SweepDriver
   */
 object MicroBenchJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("microbench")
+    val spark = SparkSession.builder().appName("microbench")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     val omegas = Seq(0.0, 2.0, 8.0, 16.0)
     val points = for {

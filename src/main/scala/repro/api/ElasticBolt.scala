@@ -24,8 +24,6 @@ final class InMemoryKeyedState extends KeyedState {
   override def put[T](key: Long, value: T): Unit = store(key) = value
   override def remove(key: Long): Unit = store.remove(key)
   def size: Int = store.size
-  /** Rough serialized footprint, for state-migration accounting in tests. */
-  def keys: Iterator[Long] = store.keysIterator
 }
 
 /** The user-facing operator abstraction, mirroring the paper's ElasticBolt:

@@ -83,6 +83,9 @@ object CpuAssignment {
     }
   }
 
+  /** The paper's initial data-intensity threshold φ (§4.2), bytes/s. */
+  val Phi0: Double = 512.0 * 1024
+
   /** Outcome of one Algorithm-1 run at a fixed φ. */
   sealed trait Result
   final case class Success(assignment: Assignment) extends Result
@@ -108,8 +111,8 @@ object CpuAssignment {
                  phi: Double): Result =
     shrinkThenGrow(target, prev, nodeCapacity, execs)(phi)
 
-  /** Full scheduler assignment step: run Algorithm 1 at φ = `phi0`
-    * (512 KB/s paper default) and double φ on FAIL until feasible (§4.2).
+  /** Full scheduler assignment step: run Algorithm 1 at φ = `phi0` and
+    * double φ on FAIL until feasible (§4.2).
     * Infeasibility with an empty data-intensive set means the cluster
     * genuinely lacks capacity; that is reported as None.
     */
@@ -117,7 +120,7 @@ object CpuAssignment {
              prev: Assignment,
              nodeCapacity: IndexedSeq[Int],
              execs: IndexedSeq[ExecutorInfo],
-             phi0: Double = 512.0 * 1024): (Option[Assignment], Double) = {
+             phi0: Double = Phi0): (Option[Assignment], Double) = {
     require(phi0 > 0, s"phi0 must be positive: $phi0")
     val growAt = shrinkThenGrow(target, prev, nodeCapacity, execs)
     var phi = phi0
@@ -239,7 +242,6 @@ object CpuAssignment {
     * higher state-migration and remote-transfer rates (Table 2).
     */
   def assignNaive(target: IndexedSeq[Int],
-                  prev: Assignment,
                   nodeCapacity: IndexedSeq[Int],
                   execs: IndexedSeq[ExecutorInfo]): Option[Assignment] = {
     val n = nodeCapacity.length

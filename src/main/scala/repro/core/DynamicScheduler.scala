@@ -31,14 +31,14 @@ object DynamicScheduler {
     * @param prev         the currently installed assignment X̃
     * @param nodeCapacity c_i cores per node
     * @param latencyTarget user SLO T_max (seconds)
-    * @param phi0         initial data-intensity threshold (512 KB/s default)
+    * @param phi0         initial data-intensity threshold φ
     */
   def schedule(loads: IndexedSeq[ExecutorLoad],
                execs: IndexedSeq[ExecutorInfo],
                prev: Assignment,
                nodeCapacity: IndexedSeq[Int],
                latencyTarget: Double,
-               phi0: Double = 512.0 * 1024): Decision =
+               phi0: Double = CpuAssignment.Phi0): Decision =
     allocateAndAssign(loads, execs, nodeCapacity, latencyTarget)(
       CpuAssignment.assign(_, prev, nodeCapacity, execs, phi0))
 
@@ -47,11 +47,10 @@ object DynamicScheduler {
     */
   def scheduleNaive(loads: IndexedSeq[ExecutorLoad],
                     execs: IndexedSeq[ExecutorInfo],
-                    prev: Assignment,
                     nodeCapacity: IndexedSeq[Int],
                     latencyTarget: Double): Decision =
     allocateAndAssign(loads, execs, nodeCapacity, latencyTarget)(target =>
-      (CpuAssignment.assignNaive(target, prev, nodeCapacity, execs), Double.NaN))
+      (CpuAssignment.assignNaive(target, nodeCapacity, execs), Double.NaN))
 
   /** Allocate with the queueing model, clip the vector to the cluster, and
     * hand the target to `assigner`, which returns the assignment and the φ

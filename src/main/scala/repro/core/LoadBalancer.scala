@@ -3,14 +3,17 @@ package repro.core
 /** Intra-executor load balancing (§3.1).
   *
   * Refines the shard→task assignment in rounds until the imbalance factor
-  * δ = (max task workload) / (mean task workload) drops below θ (= 1.2 in
-  * the paper: at most 20% above the mean). Each round considers moving one
+  * δ = (max task workload) / (mean task workload) drops below θ (`Theta`:
+  * at most 20% above the mean). Each round considers moving one
   * shard from the most-loaded task to the least-loaded task and picks the
   * move that reduces δ the most — a First-Fit-Decreasing-flavoured greedy
   * for the NP-hard multi-way partitioning problem. Minimising the number of
   * moved shards minimises state-migration cost.
   */
 object LoadBalancer {
+
+  /** The paper's imbalance threshold θ (§3.1). */
+  val Theta: Double = 1.2
 
   /** One shard reassignment: shard id, source task, destination task. */
   final case class Move(shard: Int, fromTask: Int, toTask: Int)
@@ -50,26 +53,23 @@ object LoadBalancer {
     * @param shardLoad  measured workload per shard (e.g. CPU-µs/s)
     * @param assignment current shard→task map
     * @param numTasks   task count after any add/remove
-    * @param theta      imbalance threshold θ (paper default 1.2)
-    * @param maxMoves   safety valve on rounds (defaults to shard count)
+    * @param theta      imbalance threshold θ
     */
   def rebalance(shardLoad: IndexedSeq[Double],
                 assignment: IndexedSeq[Int],
                 numTasks: Int,
-                theta: Double = 1.2,
-                maxMoves: Int = Int.MaxValue): Rebalance = {
+                theta: Double = Theta): Rebalance = {
     require(theta >= 1.0, s"theta must be >= 1: $theta")
     val assign = assignment.toArray
     val loads = taskLoads(shardLoad, assign.toIndexedSeq, numTasks)
     val total = loads.sum
     val mean = total / numTasks
     var moves = List.empty[Move]
-    val budget = math.min(maxMoves, shardLoad.length)
 
     def delta: Double = if (total <= 0) 1.0 else loads.max / mean
 
     var guard = 0
-    while (delta > theta && guard < budget) {
+    while (delta > theta && guard < shardLoad.length) {
       val maxTask = loads.indices.maxBy(loads)
       val minTask = loads.indices.minBy(loads)
       // Among shards on the most-loaded task, pick the move that minimises
@@ -134,7 +134,7 @@ object LoadBalancer {
              assignment: IndexedSeq[Int],
              oldNumTasks: Int,
              newNumTasks: Int,
-             theta: Double = 1.2): Rebalance = {
+             theta: Double = Theta): Rebalance = {
     require(newNumTasks > 0, s"newNumTasks must be positive: $newNumTasks")
     if (newNumTasks >= oldNumTasks) {
       rebalance(shardLoad, assignment, newNumTasks, theta)

@@ -27,7 +27,8 @@ object Experiments {
     * 11 analytics operators at their selectivity) — sets cluster capacity
     * (~246 K orders/s at 32 nodes, paper measured 218.6 K).
     */
-  val ssePipelineCostSec: Double = 0.8e-3 + 0.7 * (6 * 0.04e-3 + 5 * 0.02e-3)
+  val ssePipelineCostSec: Double = SSEWorkload.TransactorCostSec + SSEWorkload.TxPerOrder *
+    (SSEWorkload.StatsOps.length * SSEWorkload.StatsCostSec + SSEWorkload.EventOps.length * SSEWorkload.EventCostSec)
 
   private def sseConfig(nodes: Int, paradigm: Paradigm, durationSec: Double): SimConfig = {
     val (others, overrides) = sseExecutors(nodes)
@@ -99,17 +100,15 @@ object Experiments {
   val fig6Approaches: Seq[String] = Seq("static", "RC", "Elasticutor")
 
   /** One (approach, ω) point of the Fig. 6 sweep — the unit the Spark sweep
-    * driver fans out.
-    */
-  /** Fig. 6 uses zipf 0.65 (paper: 0.5): at 1/10 the paper's cluster scale
-    * the per-executor share variance that overloads the static partition
-    * needs a slightly heavier tail to show; the hottest key still stays
-    * below one core's service rate so the comparison remains fair.
+    * driver fans out. It uses zipf 0.65 (paper: 0.5): at 1/10 the paper's
+    * cluster scale the per-executor share variance that overloads the static
+    * partition needs a slightly heavier tail to show; the hottest key still
+    * stays below one core's service rate so the comparison remains fair.
     */
   def fig6Point(approach: String, omega: Double, nodes: Int = 8,
                 durationSec: Double = 45.0): Fig6Row = {
     val cluster = paperCluster(nodes)
-    val offered = cluster.totalCores / 1e-3 * 0.72
+    val offered = cluster.totalCores / MicroBenchWorkload.CalculatorCostSec * 0.72
     val paradigm: Paradigm = approach match {
       case "static" => Paradigm.Static
       case "RC" => Paradigm.ResourceCentric()
@@ -142,7 +141,7 @@ object Experiments {
   def reassignBreakdown(nodes: Int = 8, shardStateBytes: Double = 32.0 * 1024,
                         durationSec: Double = 60.0): Seq[ReassignRow] = {
     val cluster = paperCluster(nodes)
-    val offered = cluster.totalCores / 1e-3 * 0.5
+    val offered = cluster.totalCores / MicroBenchWorkload.CalculatorCostSec * 0.5
     def workload() = new MicroBenchWorkload(offered, shufflesPerMin = 6,
       shardStateBytes = shardStateBytes, zipfSkew = 0.5)
     // Two big executors per operator: each spans nodes, so shard moves
@@ -154,7 +153,6 @@ object Experiments {
       durationSec = durationSec, warmupSec = 5.0)
     val ec = new StreamSimulator(cfg(Paradigm.ExecutorCentric()), workload()).run()
     val rc = new StreamSimulator(cfg(Paradigm.ResourceCentric()), workload()).run()
-    def avg(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.length
     val (ecIntra, ecInter) = ec.moves.partition(!_.interNode)
     // RC's per-shard sync is the global barrier; migration only for shards
     // that crossed nodes (bytes>0 repartitions aggregate them).
@@ -177,7 +175,7 @@ object Experiments {
   def syncVsUpstream(upstreams: Seq[Int] = Seq(8, 32, 128), nodes: Int = 8,
                      durationSec: Double = 45.0): Seq[SyncVsUpstreamRow] = {
     val cluster = paperCluster(nodes)
-    val offered = cluster.totalCores / 1e-3 * 0.3
+    val offered = cluster.totalCores / MicroBenchWorkload.CalculatorCostSec * 0.3
     def cfg(p: Paradigm) = SimConfig(cluster, p,
       executorsPerOp = math.max(2, nodes / 2), shardsPerExecutor = 128,
       executorsPerOpOverride = Map("sink" -> math.max(2, nodes / 2)),
@@ -187,11 +185,12 @@ object Experiments {
         zipfSkew = 0.5, spoutExecutors = u)
       val rc = new StreamSimulator(cfg(Paradigm.ResourceCentric()), workload()).run()
       val ec = new StreamSimulator(cfg(Paradigm.ExecutorCentric()), workload()).run()
-      def avg(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.length
       SyncVsUpstreamRow(u, avg(rc.repartitions.map(_.syncSec * 1e3)),
         avg(ec.moves.map(_.syncSec * 1e3)))
     }
   }
+
+  private def avg(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.length
 
   // ---- pretty printing -----------------------------------------------------
 

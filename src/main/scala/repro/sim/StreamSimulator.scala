@@ -13,23 +13,21 @@ object Paradigm {
     * key repartitioning with global synchronization (pause all upstream,
     * drain in-flight, migrate state, update upstream routing tables).
     */
-  final case class ResourceCentric(checkPeriodSec: Double = 1.0) extends Paradigm
+  final case class ResourceCentric() extends Paradigm
 
   /** Executor-centric (Elasticutor): y elastic executors per operator, each
     * owning a static key subspace of z shards; cores assigned dynamically by
     * the model-based scheduler; intra-executor load balancing.
     * `naive` disables migration-cost/locality optimisation (naive-EC, §5.4).
     */
-  final case class ExecutorCentric(schedulePeriodSec: Double = 1.0,
-                                   balancePeriodSec: Double = 0.25,
-                                   naive: Boolean = false) extends Paradigm
+  final case class ExecutorCentric(naive: Boolean = false) extends Paradigm
 }
 
 /** Full configuration of one simulation run.
   *
   * Defaults mirror §5: 32 executors/operator × 256 shards/executor = 8192
   * shards per operator (the same repartitioning granularity is used for the
-  * static/RC paradigms), θ = 1.2, φ̃ = 512 KB/s.
+  * static/RC paradigms).
   */
 final case class SimConfig(cluster: ClusterSpec,
                            paradigm: Paradigm,
@@ -38,14 +36,15 @@ final case class SimConfig(cluster: ClusterSpec,
                            executorsPerOpOverride: Map[String, Int] = Map.empty,
                            tickSec: Double = 1e-3,
                            durationSec: Double = 60.0,
-                           warmupSec: Double = 5.0,
-                           maxQueueSec: Double = 4.0,
-                           latencyTargetSec: Double = 0.05,
-                           theta: Double = 1.2,
-                           phi0: Double = 512.0 * 1024) {
+                           warmupSec: Double = 5.0) {
   require(tickSec > 0 && durationSec > tickSec, "bad tick/duration")
   require(warmupSec >= 0 && warmupSec < durationSec, "warmup must fit in duration")
   def executorsOf(op: String): Int = executorsPerOpOverride.getOrElse(op, executorsPerOp)
+  /** Model constants: a task's queue cap (core-seconds), latency target T_max, θ and φ₀ (§3–4). */
+  def maxQueueSec: Double = 4.0
+  def latencyTargetSec: Double = 0.05
+  def theta: Double = LoadBalancer.Theta
+  def phi0: Double = CpuAssignment.Phi0
 }
 
 /** One second of aggregated simulation metrics. */
@@ -132,8 +131,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
   private val controller: Controller = config.paradigm match {
     case Paradigm.Static => new StaticController
-    case Paradigm.ResourceCentric(checkPeriodSec) => new ResourceCentricController(checkPeriodSec)
-    case p: Paradigm.ExecutorCentric => new ExecutorCentricController(p)
+    case Paradigm.ResourceCentric() => new ResourceCentricController
+    case Paradigm.ExecutorCentric(naive) => new ExecutorCentricController(naive)
   }
 
   /** Per op: its executor runtimes (EC: y of them; static/RC: exactly one
@@ -446,7 +445,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     * repartitioning with global synchronization (pause all upstream, drain
     * in-flight, migrate state, update upstream routing tables).
     */
-  private final class ResourceCentricController(checkPeriodSec: Double) extends StaticController {
+  private final class ResourceCentricController extends StaticController {
+    private val checkPeriodSec = 1.0
     /** RC repartition in flight, per op. */
     private final class RepartitionOp(val startSec: Double,
                                       val moves: List[LoadBalancer.Move],
@@ -550,8 +550,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     * cores from the model-based scheduler, intra-executor load balancing,
     * and per-shard consistent reassignment (§3.3).
     */
-  private final class ExecutorCentricController(p: Paradigm.ExecutorCentric)
+  private final class ExecutorCentricController(naive: Boolean)
     extends Controller(capsRemoteNic = true) {
+    private val schedulePeriodSec = 1.0
+    private val balancePeriodSec = 0.25
     private var lastBalance = 0.0
     private var lastSchedule = 0.0
 
@@ -596,13 +598,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     }
 
     override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = {
-      if (shuffled || now - lastBalance >= p.balancePeriodSec) {
+      if (shuffled || now - lastBalance >= balancePeriodSec) {
         lastBalance = now
         for (j <- ops.indices; rt <- execs(j)) maybeRebalance(rt, rates(j))
       }
-      if (now - lastSchedule >= p.schedulePeriodSec && now > 0) {
+      if (now - lastSchedule >= schedulePeriodSec && now > 0) {
         lastSchedule = now
-        val decision = decide(_.windowArrivals / p.schedulePeriodSec)
+        val decision = decide(_.windowArrivals / schedulePeriodSec)
         allExecs.foreach(_.windowArrivals = 0.0)
         schedMillis += decision.wallClockMillis
         decision.assignment.foreach { a =>
@@ -627,10 +629,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val infos = allExecs.lazyZip(lambdas).map((rt, lambda) =>
         CpuAssignment.ExecutorInfo(rt.localNode, rt.stateBytes,
           lambda * (rt.op.tupleBytes + rt.op.outBytes) / math.max(1, rt.tasks.length)))
-      val prev = CpuAssignment.Assignment(
+      def prev = CpuAssignment.Assignment(
         IndexedSeq.tabulate(numNodes)(i => allExecs.map(_.coresPerNode(numNodes)(i))))
       val capacity = IndexedSeq.fill(numNodes)(cluster.coresPerNode)
-      if (p.naive) DynamicScheduler.scheduleNaive(loads, infos, prev, capacity, config.latencyTargetSec)
+      if (naive) DynamicScheduler.scheduleNaive(loads, infos, capacity, config.latencyTargetSec)
       else DynamicScheduler.schedule(loads, infos, prev, capacity, config.latencyTargetSec, config.phi0)
     }
 

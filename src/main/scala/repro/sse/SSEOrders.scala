@@ -18,7 +18,7 @@ object SSEOrders {
     import spark.implicits._
     require(rows > 0 && numStocks > 0, s"bad generator args rows=$rows stocks=$numStocks")
     val alpha = 1.1
-    val norm = (1L to numStocks.toLong).map(k => 1.0 / math.pow(k, alpha)).sum
+    val norm = (1L to numStocks.toLong).map(k => 1.0 / math.pow(k.toDouble, alpha)).sum
     spark.range(rows).select(
       $"id" as "order_id",
       (rand(seed) * 5000 + 1).cast(LongType) as "trader_id",

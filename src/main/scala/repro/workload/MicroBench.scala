@@ -12,14 +12,12 @@ import repro.sim.{KeyFrequencies, OperatorSpec, Workload}
   * @param offeredRate    spout emission rate, tuples/s
   * @param shufflesPerMin workload dynamics ω
   * @param tupleBytes     calculator input tuple size (s in §5.3)
-  * @param cpuSecPerTuple calculator CPU cost per tuple
   * @param shardStateBytes per-shard state size
   * @param spoutExecutors upstream executor count (Fig. 9a varies this)
   */
 final class MicroBenchWorkload(offeredRate: Double,
                                shufflesPerMin: Double,
                                tupleBytes: Double = 128.0,
-                               cpuSecPerTuple: Double = 1e-3,
                                shardStateBytes: Double = 32.0 * 1024,
                                spoutExecutors: Int = 32,
                                numKeys: Int = 10000,
@@ -30,7 +28,7 @@ final class MicroBenchWorkload(offeredRate: Double,
 
   val calculator: OperatorSpec = OperatorSpec(
     name = "calculator",
-    cpuSecPerTuple = cpuSecPerTuple,
+    cpuSecPerTuple = MicroBenchWorkload.CalculatorCostSec,
     tupleBytes = tupleBytes,
     outBytes = tupleBytes,
     statePerShardBytes = shardStateBytes,
@@ -66,10 +64,13 @@ final class MicroBenchWorkload(offeredRate: Double,
 
   override def shardWeights(op: String, numExecutors: Int, shardsPerExecutor: Int): Array[Double] =
     op match {
-      case "calculator" => freqs.shardWeights(numExecutors, shardsPerExecutor)
-      case "sink" =>
-        // The sink is keyed the same way; reuse the calculator distribution.
-        freqs.shardWeights(numExecutors, shardsPerExecutor)
+      // The sink is keyed the same way as the calculator.
+      case "calculator" | "sink" => freqs.shardWeights(numExecutors, shardsPerExecutor)
       case other => throw new IllegalArgumentException(s"unknown op $other")
     }
+}
+
+object MicroBenchWorkload {
+  /** The calculator's CPU cost per tuple (§5.1). */
+  val CalculatorCostSec = 1e-3
 }

@@ -139,8 +139,7 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
 
   test("assignNaive satisfies the allocation without locality") {
     val ex = infos(4, j => j % 2)
-    val prev = Assignment.oneCoreLocal(ex, numNodes = 2, coresPerNode = 8)
-    val res = assignNaive(IndexedSeq(4, 4, 2, 2), prev, IndexedSeq(8, 8), ex)
+    val res = assignNaive(IndexedSeq(4, 4, 2, 2), IndexedSeq(8, 8), ex)
     assert(res.isDefined)
     val a = res.get
     (0 until 4).foreach(j => assert(a.totalOf(j) == IndexedSeq(4, 4, 2, 2)(j)))
@@ -150,7 +149,7 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
   test("naive spreads an executor across nodes more than the optimizing assigner") {
     val ex = infos(1, _ => 0)
     val prev = Assignment.oneCoreLocal(ex, numNodes = 4, coresPerNode = 8)
-    val Some(naive) = assignNaive(IndexedSeq(6), prev, IndexedSeq.fill(4)(8), ex)
+    val Some(naive) = assignNaive(IndexedSeq(6), IndexedSeq.fill(4)(8), ex)
     val Success(opt) = assignOnce(IndexedSeq(6), prev, IndexedSeq.fill(4)(8), ex, Double.MaxValue)
     val naiveNodes = (0 until 4).count(i => naive.cores(i)(0) > 0)
     val optNodes = (0 until 4).count(i => opt.cores(i)(0) > 0)

@@ -44,7 +44,7 @@ class DynamicSchedulerSpec extends AnyFunSuite {
     val execs = IndexedSeq(ExecutorInfo(0, 8 * MB, 0.0))
     val prev = Assignment.oneCoreLocal(execs, 4, 2)
     val opt = DynamicScheduler.schedule(loads, execs, prev, IndexedSeq.fill(4)(2), 0.01)
-    val naive = DynamicScheduler.scheduleNaive(loads, execs, prev, IndexedSeq.fill(4)(2), 0.01)
+    val naive = DynamicScheduler.scheduleNaive(loads, execs, IndexedSeq.fill(4)(2), 0.01)
     assert(opt.assignment.get.totalOf(0) == naive.assignment.get.totalOf(0))
     val optCost = opt.assignment.get.migrationCostFrom(prev, execs)
     val naiveCost = naive.assignment.get.migrationCostFrom(prev, execs)
@@ -60,7 +60,7 @@ class DynamicSchedulerSpec extends AnyFunSuite {
     val execs = IndexedSeq(ExecutorInfo(0, MB, 0.0), ExecutorInfo(1, MB, 0.0))
     val prev = Assignment.oneCoreLocal(execs, 2, 2)
     val opt = DynamicScheduler.schedule(loads, execs, prev, IndexedSeq(2, 2), 0.01)
-    val naive = DynamicScheduler.scheduleNaive(loads, execs, prev, IndexedSeq(2, 2), 0.01)
+    val naive = DynamicScheduler.scheduleNaive(loads, execs, IndexedSeq(2, 2), 0.01)
     assert(opt.allocation.cores == IndexedSeq(3, 2) && !opt.allocation.feasible)
     val (o, n) = (opt.assignment.get, naive.assignment.get)
     for (j <- execs.indices)

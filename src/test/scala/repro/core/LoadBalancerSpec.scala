@@ -57,13 +57,6 @@ class LoadBalancerSpec extends AnyFunSuite with PropHelpers {
     assert(r.moves.length <= 3)
   }
 
-  test("rebalance respects explicit maxMoves budget") {
-    val shardLoad = IndexedSeq.fill(64)(1.0)
-    val skewed = IndexedSeq.fill(64)(0)
-    val r = rebalance(shardLoad, skewed, numTasks = 8, theta = 1.01, maxMoves = 5)
-    assert(r.moves.length <= 5)
-  }
-
   test("rebalance property: never worsens imbalance, assignment stays valid") {
     forSeeds(100) { rng =>
       val n = rng.nextInt(7) + 2

@@ -1,6 +1,8 @@
 package repro.experiments
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.sim.OperatorSpec
+import repro.sse.SSEWorkload
 
 /** Structural smoke tests of the experiment harnesses at reduced scale —
   * the full-scale shape assertions live in `bench/`.
@@ -22,8 +24,19 @@ class ExperimentsSpec extends AnyFunSuite {
   }
 
   test("pipeline cost matches the operator specs") {
-    assert(math.abs(Experiments.ssePipelineCostSec -
-      (0.8e-3 + 0.7 * (6 * 0.04e-3 + 5 * 0.02e-3))) < 1e-12)
+    // Cost per order: the transactor's plus each analytics operator's at the
+    // transactor's selectivity, grouped into statistics and event operators.
+    val w = new SSEWorkload(1000)
+    val sel = w.transactor.downstream.map(_._2).distinct
+    assert(sel.length == 1, s"one selectivity for all analytics: $sel")
+    val (stats, events) = w.operators.tail.partition(o => SSEWorkload.StatsOps.contains(o.name))
+    def groupCost(ops: Seq[OperatorSpec]): Double = {
+      val costs = ops.map(_.cpuSecPerTuple).distinct
+      assert(costs.length == 1, s"one cost per group: $costs")
+      ops.length * costs.head
+    }
+    assert(Experiments.ssePipelineCostSec ==
+      w.transactor.cpuSecPerTuple + sel.head * (groupCost(stats) + groupCost(events)))
   }
 
   test("table2 returns both approaches with finite rates (tiny run)") {

@@ -161,9 +161,9 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("ClusterSpec transfer time includes latency and bandwidth") {
-    val c = ClusterSpec(2, 8, networkBytesPerSec = 100e6, networkLatencySec = 1e-3)
+    val c = ClusterSpec(2, 8, networkBytesPerSec = 100e6)
     assert(c.transferSec(0) == 0.0)
-    assert(math.abs(c.transferSec(100e6) - 1.001) < 1e-9)
+    assert(math.abs(c.transferSec(100e6) - (c.networkLatencySec + 1.0)) < 1e-9)
     assert(c.totalCores == 16)
   }
 }

@@ -35,7 +35,7 @@ class SSECalibrationSpec extends AnyFunSuite {
     orders.take(10000).foreach(o => bolt.process(StreamTuple(o.stockId, o), state)) // warm JIT
     val perOrder = timePerOp(40000)(i =>
       bolt.process(StreamTuple(orders(10000 + i % 40000).stockId, orders(10000 + i % 40000)), state))
-    assert(perOrder < 0.8e-3,
+    assert(perOrder < SSEWorkload.TransactorCostSec,
       f"raw matching $perOrder%.2e s/order must fit in the 0.8 ms model budget")
   }
 
@@ -45,7 +45,7 @@ class SSECalibrationSpec extends AnyFunSuite {
     val tx = Transaction(0, 7, 1000, 100, 1, 2)
     (1 to 10000).foreach(_ => vwap.process(StreamTuple(7, tx), state)) // warm
     val perTx = timePerOp(100000)(_ => vwap.process(StreamTuple(7, tx), state))
-    assert(perTx < 0.04e-3,
+    assert(perTx < SSEWorkload.StatsCostSec,
       f"vwap $perTx%.2e s/tx must fit in the 0.04 ms stats budget")
   }
 

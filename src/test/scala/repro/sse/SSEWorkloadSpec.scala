@@ -23,16 +23,21 @@ class SSEWorkloadSpec extends AnyFunSuite {
   }
 
   test("regimes change the key distribution periodically") {
-    val w = new SSEWorkload(1000, regimeSec = 5.0)
+    val w = new SSEWorkload(1000)
+    assert(SSEWorkload.RegimeSec == 10.0)
     assert(w.advanceTo(0.0), "first regime installs at t=0")
-    assert(!w.advanceTo(4.9))
-    assert(w.advanceTo(5.0))
-    assert(!w.advanceTo(6.0))
+    assert(!w.advanceTo(9.9))
+    assert(w.advanceTo(10.0))
+    assert(!w.advanceTo(12.0))
   }
 
   test("aggregate rate is bursty around the mean") {
-    val w = new SSEWorkload(10000, regimeSec = 1.0, rateBurstiness = 0.35)
-    val rates = (0 until 50).map { i => w.advanceTo(i.toDouble); w.externalRate("transactor", i.toDouble) }
+    val w = new SSEWorkload(10000)
+    val rates = (0 until 50).map { i =>
+      val t = i * SSEWorkload.RegimeSec
+      w.advanceTo(t)
+      w.externalRate("transactor", t)
+    }
     assert(rates.max > 10000 * 1.1)
     assert(rates.min < 10000 * 0.9)
     assert(rates.forall(r => r >= 10000 * 0.6 && r <= 10000 * 1.4))
