@@ -18,7 +18,7 @@ class Fig6ShapeBench extends SparkSpec {
   private lazy val rows: Map[(String, Double), SweepDriver.SweepRow] = {
     val points = for {
       a <- Experiments.fig6Approaches
-      o <- Seq(0.0, 2.0, 8.0, 16.0)
+      o <- Experiments.fig6Omegas
     } yield (a, o)
     val df = SweepDriver.sweep(spark, points, { case (approach, omega) =>
       val r = Experiments.fig6Point(approach, omega)
@@ -61,7 +61,7 @@ class Fig6ShapeBench extends SparkSpec {
   }
 
   test("static latency is far above Elasticutor at every omega") {
-    Seq(0.0, 2.0, 8.0, 16.0).foreach { o =>
+    Experiments.fig6Omegas.foreach { o =>
       assert(lat("static", o) > lat("Elasticutor", o) * 10,
         s"omega $o: static ${lat("static", o)} vs EC ${lat("Elasticutor", o)}")
     }
@@ -73,7 +73,7 @@ class Fig6ShapeBench extends SparkSpec {
   }
 
   test("Elasticutor throughput is highest or tied at every omega") {
-    Seq(0.0, 2.0, 8.0, 16.0).foreach { o =>
+    Experiments.fig6Omegas.foreach { o =>
       assert(thr("Elasticutor", o) >= thr("static", o) * 0.99)
       assert(thr("Elasticutor", o) >= thr("RC", o) * 0.95)
     }

@@ -14,10 +14,9 @@ object MicroBenchJob {
   def main(args: Array[String]): Unit = {
     val spark = SparkSession.builder().appName("microbench")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
-    val omegas = Seq(0.0, 2.0, 8.0, 16.0)
     val points = for {
-      approach <- Seq("static", "RC", "Elasticutor")
-      omega <- omegas
+      approach <- Experiments.fig6Approaches
+      omega <- Experiments.fig6Omegas
     } yield (approach, omega)
     val df = SweepDriver.sweep(spark, points, { case (approach, omega) =>
       val row = Experiments.fig6Point(approach, omega)

@@ -123,8 +123,8 @@ object LoadBalancer {
 
   /** Assignment for a task-count change (§3 "CPU core reassignments").
     * Removed tasks' shards must move; added tasks start empty and the
-    * greedy rounds fill them. Shards on surviving tasks stay put so the
-    * number of reassigned shards — and hence migration cost — is minimal.
+    * greedy rounds fill them (θ = `Theta`). Shards on surviving tasks stay
+    * put so the number of reassigned shards — and migration cost — is minimal.
     *
     * @param oldNumTasks task count before the change
     * @param newNumTasks task count after the change (tasks `>= newNumTasks`
@@ -133,11 +133,10 @@ object LoadBalancer {
   def resize(shardLoad: IndexedSeq[Double],
              assignment: IndexedSeq[Int],
              oldNumTasks: Int,
-             newNumTasks: Int,
-             theta: Double = Theta): Rebalance = {
+             newNumTasks: Int): Rebalance = {
     require(newNumTasks > 0, s"newNumTasks must be positive: $newNumTasks")
     if (newNumTasks >= oldNumTasks) {
-      rebalance(shardLoad, assignment, newNumTasks, theta)
+      rebalance(shardLoad, assignment, newNumTasks)
     } else {
       // Evacuate shards of removed tasks onto the least-loaded survivors.
       val assign = assignment.toArray
@@ -152,7 +151,7 @@ object LoadBalancer {
         survivorLoads(dst) += shardLoad(i)
         assign(i) = dst
       }
-      val refined = rebalance(shardLoad, assign.toIndexedSeq, newNumTasks, theta)
+      val refined = rebalance(shardLoad, assign.toIndexedSeq, newNumTasks)
       Rebalance(refined.assignment, forced.reverse ++ refined.moves, refined.imbalance)
     }
   }

@@ -94,10 +94,12 @@ object Experiments {
   final case class Fig6Row(approach: String, omega: Double,
                            throughput: Double, meanLatencySec: Double)
 
-  /** Fig. 6 shape: the three paradigms across ω (key shuffles/minute).
-    * 8 nodes × 8 cores, micro-benchmark topology, zipf 0.5 over 10 K keys.
+  /** Fig. 6 shape: the three paradigms across ω (key shuffles/minute), the
+    * grid every Fig. 6 sweep runs. 8 nodes × 8 cores, micro-benchmark
+    * topology, zipf 0.5 over 10 K keys.
     */
   val fig6Approaches: Seq[String] = Seq("static", "RC", "Elasticutor")
+  val fig6Omegas: Seq[Double] = Seq(0.0, 2.0, 8.0, 16.0)
 
   /** One (approach, ω) point of the Fig. 6 sweep — the unit the Spark sweep
     * driver fans out. It uses zipf 0.65 (paper: 0.5): at 1/10 the paper's
@@ -123,11 +125,6 @@ object Experiments {
       new MicroBenchWorkload(offered, omega, zipfSkew = 0.65)).run()
     Fig6Row(approach, omega, r.throughput, r.meanLatencySec)
   }
-
-  def fig6(omegas: Seq[Double] = Seq(0, 2, 8, 16), nodes: Int = 8,
-           durationSec: Double = 45.0): Seq[Fig6Row] =
-    for (name <- fig6Approaches; omega <- omegas)
-      yield fig6Point(name, omega, nodes, durationSec)
 
   // ---- Fig. 8/9 shape: shard reassignment cost breakdown ------------------
 

@@ -102,12 +102,12 @@ final class TaskRuntime(val node: Int) {
   var drainedWork: Double = 0.0
 
   /** Enqueue a cohort, honouring the back-pressure cap: work beyond
-    * `maxQueueSec` is refused (the source is throttled). Returns the number
-    * of refused tuples.
+    * `TaskRuntime.MaxQueueSec` is refused (the source is throttled). Returns
+    * the number of refused tuples.
     */
-  def enqueue(c: Cohort, maxQueueSec: Double): Double = {
+  def enqueue(c: Cohort): Double = {
     if (c.work <= 0) return 0.0
-    val room = maxQueueSec - queuedWork
+    val room = TaskRuntime.MaxQueueSec - queuedWork
     if (room <= 0) return c.tuples
     if (c.work <= room) {
       queue.append(c)
@@ -154,6 +154,10 @@ final class TaskRuntime(val node: Int) {
   }
 
   def isDrained: Boolean = queuedWork <= 1e-9
+}
+
+object TaskRuntime {
+  final val MaxQueueSec = 4.0 // a task's queue cap in core-seconds (back-pressure)
 }
 
 /** Elasticutor's consistent shard reassignment (§3.3) as a state machine the

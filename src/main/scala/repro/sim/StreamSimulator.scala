@@ -40,8 +40,7 @@ final case class SimConfig(cluster: ClusterSpec,
   require(tickSec > 0 && durationSec > tickSec, "bad tick/duration")
   require(warmupSec >= 0 && warmupSec < durationSec, "warmup must fit in duration")
   def executorsOf(op: String): Int = executorsPerOpOverride.getOrElse(op, executorsPerOp)
-  /** Model constants: a task's queue cap (core-seconds), latency target T_max, θ and φ₀ (§3–4). */
-  def maxQueueSec: Double = 4.0
+  /** Model constants: latency target T_max, θ and φ₀ (§3–4). */
   def latencyTargetSec: Double = 0.05
   def theta: Double = LoadBalancer.Theta
   def phi0: Double = CpuAssignment.Phi0
@@ -317,7 +316,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         if (remote && remoteScale < 1.0)
           secBackpressured += opRate * share * dt * (1 - remoteScale)
         if (tuples > 0)
-          secBackpressured += task.enqueue(new Cohort(now, tuples * cpuSecPerTuple, tuples), config.maxQueueSec)
+          secBackpressured += task.enqueue(new Cohort(now, tuples * cpuSecPerTuple, tuples))
       }
       t += 1
     }
@@ -533,7 +532,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
               val f = shares(t) / total
               if (f > 0) {
                 val piece = new Cohort(c.arrivalSec, c.work * f, c.tuples * f)
-                secBackpressured += rt.tasks(t).enqueue(piece, config.maxQueueSec)
+                secBackpressured += rt.tasks(t).enqueue(piece)
               }
             }
             secMigrationBytes += r.bytes
@@ -647,30 +646,31 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       if (rt.activeMoves.nonEmpty || rt.retiring.nonEmpty) { deferred += 1; return }
 
       // Per node: keep the first tasks up to the new count, retire the rest,
-      // and add fresh tasks for any shortfall.
+      // and add fresh tasks for any shortfall (by index into `rt.tasks`).
       val (kept, dropped) = (0 until numNodes).map(node =>
-        rt.tasks.filter(_.node == node).splitAt(newCounts(node))).unzip
-      val newTasks = kept.flatten ++ (0 until numNodes).flatMap(node =>
+        rt.tasks.indices.filter(rt.tasks(_).node == node).splitAt(newCounts(node))).unzip
+      val newTasks = kept.flatten.map(rt.tasks) ++ (0 until numNodes).flatMap(node =>
         Seq.fill(newCounts(node) - kept(node).length)(new TaskRuntime(node)))
-      val removed = dropped.flatten
+      val removed = dropped.flatten.map(rt.tasks)
       val n = newTasks.length
 
       // Removed tasks are numbered after the new task set, so `resize`
       // evacuates their shards (its forced moves, FFD onto the least-loaded
       // new task) before refining the balance.
-      val index: Map[TaskRuntime, Int] = (newTasks ++ removed).zipWithIndex.toMap
-      val current = IndexedSeq.tabulate(rt.numShards)(s => index(rt.tasks(rt.shardMap.taskOf(s))))
-      val reb = LoadBalancer.resize(rt.shardLoads(opRate), current, n + removed.length, n, config.theta)
+      val renumber = new Array[Int](rt.tasks.length)
+      kept.flatten.zipWithIndex.foreach { case (t, k) => renumber(t) = k }
+      dropped.flatten.zipWithIndex.foreach { case (t, r) => renumber(t) = n + r }
+      val current = Array.tabulate(rt.numShards)(s => renumber(rt.shardMap.taskOf(s)))
+      val reb = LoadBalancer.resize(rt.shardLoads(opRate), current.toIndexedSeq, n + removed.length, n)
       val (forced, refine) = reb.moves.partition(_.fromTask >= n)
-      val base = current.toArray
-      forced.foreach(m => base(m.shard) = m.toTask)
+      forced.foreach(m => current(m.shard) = m.toTask)
 
       // Install the new task set and the renumbered map (renumbering survivor
       // indices is pure bookkeeping, not a migration); each forced shard
       // still leaves its removed task through the protocol.
       rt.tasks.clear(); rt.tasks ++= newTasks
       rt.retiring ++= removed
-      rt.shardMap.replaceAll(base.toIndexedSeq)
+      rt.shardMap.replaceAll(current.toIndexedSeq)
       for (m <- forced) startMove(rt, m.shard, removed(m.fromTask - n), m.toTask)
       for (m <- LoadBalancer.collapse(refine) if !rt.shardPaused(m.shard))
         startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
@@ -713,7 +713,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
               rt.shardMap.reassign(m.shard, m.toTaskIndex)
               rt.shardPaused(m.shard) = false
               val dst = rt.tasks(m.toTaskIndex)
-              m.hold.foreach(c => secBackpressured += dst.enqueue(c, config.maxQueueSec))
+              m.hold.foreach(c => secBackpressured += dst.enqueue(c))
               val bytes = if (m.interNode) m.stateBytes else 0.0
               if (m.interNode) { secMigrationBytes += bytes }
               moveLog += MoveRecord(m.startSec, rt.op.name, m.interNode,

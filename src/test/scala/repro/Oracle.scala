@@ -1,6 +1,7 @@
 package repro
 
 import java.sql.DriverManager
+import org.duckdb.DuckDBConnection
 import org.apache.spark.sql.{DataFrame, Row}
 
 /** DuckDB correctness oracle.
@@ -34,7 +35,7 @@ object Oracle {
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
+    val conn = DriverManager.getConnection("jdbc:duckdb:").unwrap(classOf[DuckDBConnection])
     try {
       for ((name, df) <- tables) {
         val cols = df.columns
@@ -42,14 +43,12 @@ object Oracle {
           s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        val app = conn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          cols.indices.foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull))
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData

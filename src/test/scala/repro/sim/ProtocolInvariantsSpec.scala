@@ -12,18 +12,18 @@ class ProtocolInvariantsSpec extends AnyFunSuite {
 
   test("drainTarget captures the pending queue at pause time") {
     val from = new TaskRuntime(0)
-    from.enqueue(new Cohort(0.0, 0.5, 500), 4.0)
+    from.enqueue(new Cohort(0.0, 0.5, 500))
     val move = new ShardMoveOp(0, from, 1, 0.0, 32 * 1024, interNode = false)
     assert(move.drainTarget == 0.5, "labeling tuple sits behind 0.5 s of work")
     // Work arriving AFTER the pause is not part of the drain target.
-    from.enqueue(new Cohort(0.1, 0.2, 200), 4.0)
+    from.enqueue(new Cohort(0.1, 0.2, 200))
     assert(move.drainTarget == 0.5)
   }
 
   test("labeling tuple is reached exactly when pre-pause work is drained") {
     val from = new TaskRuntime(0)
     val stats = new CompletionStats
-    from.enqueue(new Cohort(0.0, 0.030, 30), 4.0)
+    from.enqueue(new Cohort(0.0, 0.030, 30))
     val move = new ShardMoveOp(7, from, 1, 0.0, 1024, interNode = true)
     from.drain(0.020, 0.020, stats)
     assert(from.drainedWork < move.drainTarget, "not yet")
@@ -39,7 +39,7 @@ class ProtocolInvariantsSpec extends AnyFunSuite {
     assert(move.hold.map(_.arrivalSec).toSeq == Seq(0.010, 0.020))
     // Flushing into the destination keeps FIFO: enqueue preserves order.
     val dst = new TaskRuntime(1)
-    move.hold.foreach(c => dst.enqueue(c, 4.0))
+    move.hold.foreach(c => dst.enqueue(c))
     val stats = new CompletionStats
     dst.drain(0.001, 0.030, stats)
     assert(math.abs(stats.meanLatency - 0.020) < 1e-9, "first-held drains first")
@@ -93,8 +93,8 @@ class ProtocolInvariantsSpec extends AnyFunSuite {
 
   test("back-pressure never drops already-queued work") {
     val t = new TaskRuntime(0)
-    t.enqueue(new Cohort(0.0, 3.9, 390), 4.0)
-    t.enqueue(new Cohort(0.0, 0.5, 50), 4.0) // partially refused
+    t.enqueue(new Cohort(0.0, 3.9, 390))
+    t.enqueue(new Cohort(0.0, 0.5, 50)) // partially refused
     val stats = new CompletionStats
     var total = 0.0
     (1 to 5000).foreach(i => total += t.drain(0.001, i * 0.001, stats))

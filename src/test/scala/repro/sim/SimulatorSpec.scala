@@ -188,4 +188,15 @@ class SimulatorSpec extends AnyFunSuite {
     val r = new StreamSimulator(cfg(ec, duration = 12), micro(1000, 0)).run()
     assert(r.perSecond.map(_.sec) == (1 to 12))
   }
+
+  test("post-warmup aggregates equal the per-second rows past warm-up") {
+    val c = cfg(ec)
+    val r = new StreamSimulator(c, new MicroBenchWorkload(6000, 4, zipfSkew = 1.0)).run()
+    val measured = r.perSecond.filter(_.sec > c.warmupSec)
+    val span = c.durationSec - c.warmupSec
+    assert(measured.nonEmpty)
+    assert(r.throughput == measured.map(_.throughput).sum / span)
+    assert(r.migrationRateBytesPerSec == measured.map(_.migrationBytes).sum / span)
+    assert(r.remoteRateBytesPerSec == measured.map(_.remoteBytes).sum / span)
+  }
 }

@@ -1,0 +1,32 @@
+package repro.sim
+
+import repro.SparkSpec
+import repro.workload.MicroBenchWorkload
+
+/** The Spark fan-out of simulation sweeps. */
+class SweepDriverSpec extends SparkSpec {
+
+  private lazy val result: SimResult = {
+    val cluster = ClusterSpec(2, 8)
+    val cfg = SimConfig(cluster, Paradigm.ExecutorCentric(), executorsPerOp = 4,
+      shardsPerExecutor = 16, executorsPerOpOverride = Map("sink" -> 2),
+      durationSec = 20, warmupSec = 5)
+    new StreamSimulator(cfg, new MicroBenchWorkload(6000, 4, zipfSkew = 1.0)).run()
+  }
+
+  test("SweepDriver runs points on the Spark cluster and labels them") {
+    val df = SweepDriver.sweep(spark, Seq(("a", 1.0), ("b", 2.0)), { case (label, p) =>
+      SweepDriver.SweepRow(label, p, p * 100, 0.01, 0.02, 0.0, 0.0)
+    })
+    val rows = df.orderBy("label").collect()
+    assert(rows.map(_.getAs[String]("label")).toSeq == Seq("a", "b"))
+    assert(rows.map(_.getAs[Double]("throughput")).toSeq == Seq(100.0, 200.0))
+  }
+
+  test("SweepDriver.summarize lifts a SimResult") {
+    val s = SweepDriver.summarize("x", 3.0, result)
+    assert(s.label == "x" && s.param == 3.0)
+    assert(s.throughput == result.throughput)
+    assert(s.migrationMBps == result.migrationRateBytesPerSec / 1e6)
+  }
+}

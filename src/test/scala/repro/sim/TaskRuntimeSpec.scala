@@ -7,30 +7,30 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
 
   test("enqueue accumulates work and tuples") {
     val t = new TaskRuntime(0)
-    assert(t.enqueue(new Cohort(0.0, 0.5, 100), maxQueueSec = 4.0) == 0.0)
+    assert(t.enqueue(new Cohort(0.0, 0.5, 100)) == 0.0)
     assert(t.queuedWork == 0.5)
     assert(t.queuedTuples == 100)
   }
 
   test("enqueue refuses work beyond the back-pressure cap") {
     val t = new TaskRuntime(0)
-    assert(t.enqueue(new Cohort(0.0, 3.0, 300), 4.0) == 0.0)
-    val refused = t.enqueue(new Cohort(0.0, 2.0, 200), 4.0)
+    assert(t.enqueue(new Cohort(0.0, 3.0, 300)) == 0.0)
+    val refused = t.enqueue(new Cohort(0.0, 2.0, 200))
     assert(math.abs(refused - 100.0) < 1e-9, s"half the second cohort refused: $refused")
     assert(math.abs(t.queuedWork - 4.0) < 1e-9)
   }
 
   test("enqueue refuses everything when full") {
     val t = new TaskRuntime(0)
-    t.enqueue(new Cohort(0.0, 4.0, 400), 4.0)
-    assert(t.enqueue(new Cohort(0.0, 1.0, 100), 4.0) == 100.0)
+    t.enqueue(new Cohort(0.0, 4.0, 400))
+    assert(t.enqueue(new Cohort(0.0, 1.0, 100)) == 100.0)
   }
 
   test("drain completes work FIFO and reports latency") {
     val t = new TaskRuntime(0)
     val stats = new CompletionStats
-    t.enqueue(new Cohort(0.0, 0.010, 10), 4.0)
-    t.enqueue(new Cohort(0.001, 0.010, 10), 4.0)
+    t.enqueue(new Cohort(0.0, 0.010, 10))
+    t.enqueue(new Cohort(0.001, 0.010, 10))
     val done = t.drain(0.010, nowSec = 0.010, stats)
     assert(math.abs(done - 10.0) < 1e-9, "exactly the first cohort drains")
     assert(math.abs(stats.meanLatency - 0.010) < 1e-9)
@@ -40,7 +40,7 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
   test("drain splits a cohort when capacity runs out") {
     val t = new TaskRuntime(0)
     val stats = new CompletionStats
-    t.enqueue(new Cohort(0.0, 0.020, 20), 4.0)
+    t.enqueue(new Cohort(0.0, 0.020, 20))
     val done = t.drain(0.005, 0.005, stats)
     assert(math.abs(done - 5.0) < 1e-9)
     assert(math.abs(t.queuedTuples - 15.0) < 1e-9)
@@ -49,7 +49,7 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
   test("drainedWork accumulates (labeling-tuple bookkeeping)") {
     val t = new TaskRuntime(0)
     val stats = new CompletionStats
-    t.enqueue(new Cohort(0.0, 0.030, 30), 4.0)
+    t.enqueue(new Cohort(0.0, 0.030, 30))
     t.drain(0.010, 0.010, stats)
     t.drain(0.010, 0.020, stats)
     assert(math.abs(t.drainedWork - 0.020) < 1e-9)
