@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.experiments.Experiments
-import repro.sim.SweepDriver
 
 /** Fig. 6 shape: throughput and latency of the three paradigms as workload
   * dynamics ω (key shuffles/minute) varies. The paper's headline plot:
@@ -15,31 +14,14 @@ import repro.sim.SweepDriver
   */
 class Fig6ShapeBench extends SparkSpec {
 
-  private lazy val rows: Map[(String, Double), SweepDriver.SweepRow] = {
-    val points = for {
-      a <- Experiments.fig6Approaches
-      o <- Experiments.fig6Omegas
-    } yield (a, o)
-    val df = SweepDriver.sweep(spark, points, { case (approach, omega) =>
-      val r = Experiments.fig6Point(approach, omega)
-      SweepDriver.SweepRow(approach, omega, r.throughput, r.meanLatencySec, 0, 0, 0)
-    })
-    df.collect().map { r =>
-      (r.getAs[String]("label"), r.getAs[Double]("param")) ->
-        SweepDriver.SweepRow(r.getAs[String]("label"), r.getAs[Double]("param"),
-          r.getAs[Double]("throughput"), r.getAs[Double]("mean_latency_sec"), 0, 0, 0)
-    }.toMap
-  }
+  private lazy val rows =
+    Experiments.fig6Sweep(spark).map(r => (r.label, r.param) -> r).toMap
 
   private def lat(a: String, o: Double) = rows((a, o)).meanLatencySec
   private def thr(a: String, o: Double) = rows((a, o)).throughput
 
   test("Fig 6: print measured sweep") {
-    println("== Fig. 6 shape (8 nodes, micro-benchmark): measured ==")
-    println(f"${"approach"}%-12s ${"omega"}%6s ${"throughput"}%12s ${"latency"}%12s")
-    rows.values.toSeq.sortBy(r => (r.label, r.param)).foreach { r =>
-      println(f"${r.label}%-12s ${r.param}%6.0f ${r.throughput}%12.0f ${r.meanLatencySec * 1e3}%10.1f ms")
-    }
+    Experiments.printFig6(rows.values.toSeq)
   }
 
   test("Elasticutor latency stays flat across omega (paper: marginal degradation)") {

@@ -14,20 +14,13 @@ import repro.experiments.Experiments
 class ReassignShapeBench extends AnyFunSuite {
 
   private lazy val breakdown = Experiments.reassignBreakdown()
-  private lazy val upstreamRows = Experiments.syncVsUpstream(Seq(8, 32, 128))
+  private lazy val upstreamRows = Experiments.syncVsUpstream()
 
   private def row(approach: String, scope: String) =
     breakdown.find(r => r.approach == approach && r.scope == scope).get
 
   test("Fig 8: print measured breakdown") {
-    println("== Fig. 8 shape: per-shard reassignment cost (measured) ==")
-    breakdown.foreach { r =>
-      println(f"  ${r.approach}%-12s ${r.scope}%-15s sync=${r.syncMs}%9.2f ms migrate=${r.migrateMs}%8.3f ms (n=${r.samples})")
-    }
-    println("== Fig. 9a shape: sync vs upstream executors (measured) ==")
-    upstreamRows.foreach { r =>
-      println(f"  upstream=${r.upstream}%4d RC=${r.rcSyncMs}%9.2f ms Elasticutor=${r.ecSyncMs}%7.2f ms")
-    }
+    Experiments.printReassign(breakdown, upstreamRows)
   }
 
   test("Elasticutor records both intra- and inter-node moves") {

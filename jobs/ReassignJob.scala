@@ -9,14 +9,6 @@ import repro.experiments.Experiments
   * Run: `sbt "runMain repro.jobs.ReassignJob"`.
   */
 object ReassignJob {
-  def main(args: Array[String]): Unit = {
-    println("== Fig. 8 shape: per-shard reassignment cost ==")
-    Experiments.reassignBreakdown().foreach { r =>
-      println(f"  ${r.approach}%-12s ${r.scope}%-15s sync=${r.syncMs}%9.2f ms  migrate=${r.migrateMs}%9.3f ms  (n=${r.samples})")
-    }
-    println("== Fig. 9a shape: sync time vs upstream executors ==")
-    Experiments.syncVsUpstream().foreach { r =>
-      println(f"  upstream=${r.upstream}%4d  RC=${r.rcSyncMs}%9.2f ms  Elasticutor=${r.ecSyncMs}%7.2f ms")
-    }
-  }
+  def main(args: Array[String]): Unit =
+    Experiments.printReassign(Experiments.reassignBreakdown(), Experiments.syncVsUpstream())
 }

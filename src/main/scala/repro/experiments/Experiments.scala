@@ -1,13 +1,14 @@
 package repro.experiments
 
+import org.apache.spark.sql.SparkSession
 import repro.sim._
 import repro.sse.SSEWorkload
 import repro.workload.MicroBenchWorkload
 
 /** The paper's evaluation experiments, sized for this simulator. Each
-  * function is pure in its parameters and returns printable rows; bench
-  * suites assert on them, `jobs/` mains print them. DESIGN.md §4 maps each
-  * to its table/figure.
+  * function is pure in its parameters and returns rows; bench suites assert
+  * on them, and benches and `jobs/` mains share one printer per experiment.
+  * DESIGN.md §4 maps each to its table/figure.
   */
 object Experiments {
 
@@ -44,7 +45,7 @@ object Experiments {
     *   <1 leaves placement headroom (rate comparisons, Table 2).
     */
   private def sseWorkload(nodes: Int, loadFactor: Double): SSEWorkload = {
-    val capacity = nodes * 8 / ssePipelineCostSec
+    val capacity = paperCluster(nodes).totalCores / ssePipelineCostSec
     new SSEWorkload(offeredRate = capacity * loadFactor, spoutExecutors = 32)
   }
 
@@ -91,9 +92,6 @@ object Experiments {
 
   // ---- Fig. 6 shape: throughput/latency vs workload dynamics ω ------------
 
-  final case class Fig6Row(approach: String, omega: Double,
-                           throughput: Double, meanLatencySec: Double)
-
   /** Fig. 6 shape: the three paradigms across ω (key shuffles/minute), the
     * grid every Fig. 6 sweep runs. 8 nodes × 8 cores, micro-benchmark
     * topology, zipf 0.5 over 10 K keys.
@@ -108,7 +106,7 @@ object Experiments {
     * stays below one core's service rate so the comparison remains fair.
     */
   def fig6Point(approach: String, omega: Double, nodes: Int = 8,
-                durationSec: Double = 45.0): Fig6Row = {
+                durationSec: Double = 45.0): SweepDriver.SweepRow = {
     val cluster = paperCluster(nodes)
     val offered = cluster.totalCores / MicroBenchWorkload.CalculatorCostSec * 0.72
     val paradigm: Paradigm = approach match {
@@ -123,7 +121,13 @@ object Experiments {
       durationSec = durationSec, warmupSec = 5.0)
     val r = new StreamSimulator(cfg,
       new MicroBenchWorkload(offered, omega, zipfSkew = 0.65)).run()
-    Fig6Row(approach, omega, r.throughput, r.meanLatencySec)
+    SweepDriver.summarize(approach, omega, r)
+  }
+
+  /** The whole Fig. 6 grid, one simulation per Spark task. */
+  def fig6Sweep(spark: SparkSession): Seq[SweepDriver.SweepRow] = {
+    val points = for (a <- fig6Approaches; o <- fig6Omegas) yield (a, o)
+    SweepDriver.rows(SweepDriver.sweep(spark, points, { case (a, o) => fig6Point(a, o) }))
   }
 
   // ---- Fig. 8/9 shape: shard reassignment cost breakdown ------------------
@@ -133,21 +137,21 @@ object Experiments {
 
   /** Fig. 8 shape: per-shard reassignment time broken into synchronization
     * and state migration, intra- vs inter-node, for Elasticutor and RC.
-    * Light load (30%) keeps queues short as in the paper's measurement.
+    * 8 nodes, 32 KB of state per shard, 60 s. Light load (50%) keeps queues
+    * short as in the paper's measurement.
     */
-  def reassignBreakdown(nodes: Int = 8, shardStateBytes: Double = 32.0 * 1024,
-                        durationSec: Double = 60.0): Seq[ReassignRow] = {
-    val cluster = paperCluster(nodes)
+  def reassignBreakdown(): Seq[ReassignRow] = {
+    val cluster = paperCluster(8)
     val offered = cluster.totalCores / MicroBenchWorkload.CalculatorCostSec * 0.5
     def workload() = new MicroBenchWorkload(offered, shufflesPerMin = 6,
-      shardStateBytes = shardStateBytes, zipfSkew = 0.5)
+      shardStateBytes = 32.0 * 1024, zipfSkew = 0.5)
     // Two big executors per operator: each spans nodes, so shard moves
     // exercise both the intra-node (state-sharing) and inter-node
     // (state-transfer) paths of the protocol.
     def cfg(p: Paradigm) = SimConfig(cluster, p,
       executorsPerOp = 2, shardsPerExecutor = 512,
       executorsPerOpOverride = Map("sink" -> 2),
-      durationSec = durationSec, warmupSec = 5.0)
+      durationSec = 60.0, warmupSec = 5.0)
     val ec = new StreamSimulator(cfg(Paradigm.ExecutorCentric()), workload()).run()
     val rc = new StreamSimulator(cfg(Paradigm.ResourceCentric()), workload()).run()
     val (ecIntra, ecInter) = ec.moves.partition(!_.interNode)
@@ -164,20 +168,19 @@ object Experiments {
       ReassignRow("RC", "operator-level", avg(rcSync), avg(rcMigPerShard), rc.repartitions.length))
   }
 
-  /** Fig. 9(a) shape: RC synchronization time vs number of upstream
-    * executors; Elasticutor's is constant (~2 ms).
-    */
   final case class SyncVsUpstreamRow(upstream: Int, rcSyncMs: Double, ecSyncMs: Double)
 
-  def syncVsUpstream(upstreams: Seq[Int] = Seq(8, 32, 128), nodes: Int = 8,
-                     durationSec: Double = 45.0): Seq[SyncVsUpstreamRow] = {
-    val cluster = paperCluster(nodes)
+  /** Fig. 9(a) shape: RC synchronization time vs number of upstream
+    * executors (8, 32, 128); Elasticutor's is constant (~2 ms). 8 nodes, 45 s.
+    */
+  def syncVsUpstream(): Seq[SyncVsUpstreamRow] = {
+    val cluster = paperCluster(8)
     val offered = cluster.totalCores / MicroBenchWorkload.CalculatorCostSec * 0.3
     def cfg(p: Paradigm) = SimConfig(cluster, p,
-      executorsPerOp = math.max(2, nodes / 2), shardsPerExecutor = 128,
-      executorsPerOpOverride = Map("sink" -> math.max(2, nodes / 2)),
-      durationSec = durationSec, warmupSec = 5.0)
-    upstreams.map { u =>
+      executorsPerOp = 4, shardsPerExecutor = 128,
+      executorsPerOpOverride = Map("sink" -> 4),
+      durationSec = 45.0, warmupSec = 5.0)
+    Seq(8, 32, 128).map { u =>
       def workload() = new MicroBenchWorkload(offered, shufflesPerMin = 6,
         zipfSkew = 0.5, spoutExecutors = u)
       val rc = new StreamSimulator(cfg(Paradigm.ResourceCentric()), workload()).run()
@@ -202,5 +205,24 @@ object Experiments {
     println(f"${"number of nodes in the cluster"}%-34s" + rows.map(r => f"${r.nodes}%10d").mkString)
     println(f"${"throughput (10^3 tuples/s)"}%-34s" + rows.map(r => f"${r.throughputKTps}%10.1f").mkString)
     println(f"${"scheduling time (ms)"}%-34s" + rows.map(r => f"${r.schedulingMs}%10.1f").mkString)
+  }
+
+  def printFig6(rows: Seq[SweepDriver.SweepRow]): Unit = {
+    println("== Fig. 6 shape (8 nodes, micro-benchmark): measured ==")
+    println(f"${"approach"}%-12s ${"omega"}%6s ${"throughput"}%12s ${"latency"}%12s")
+    rows.sortBy(r => (r.label, r.param)).foreach { r =>
+      println(f"${r.label}%-12s ${r.param}%6.0f ${r.throughput}%12.0f ${r.meanLatencySec * 1e3}%10.1f ms")
+    }
+  }
+
+  def printReassign(breakdown: Seq[ReassignRow], upstream: Seq[SyncVsUpstreamRow]): Unit = {
+    println("== Fig. 8 shape: per-shard reassignment cost (measured) ==")
+    breakdown.foreach { r =>
+      println(f"  ${r.approach}%-12s ${r.scope}%-15s sync=${r.syncMs}%9.2f ms migrate=${r.migrateMs}%8.3f ms (n=${r.samples})")
+    }
+    println("== Fig. 9a shape: sync vs upstream executors (measured) ==")
+    upstream.foreach { r =>
+      println(f"  upstream=${r.upstream}%4d RC=${r.rcSyncMs}%9.2f ms Elasticutor=${r.ecSyncMs}%7.2f ms")
+    }
   }
 }

@@ -275,10 +275,7 @@ final class ExecutorRuntime(val op: OperatorSpec,
     while (s < numShards) {
       val w = weights(s)
       sum += w
-      if (!shardPaused(s)) {
-        val t = shardMap.taskOf(s)
-        if (t >= 0 && t < tasks.length) share(t) += w
-      }
+      if (!shardPaused(s)) share(shardMap.taskOf(s)) += w
       s += 1
     }
     var acc = 0.0

@@ -165,9 +165,9 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
   private def refreshWeights(): Unit = {
     for (j <- ops.indices) {
-      val (y, z) = controller.tier1Of(j)
-      val w = workload.shardWeights(ops(j).name, y, z)
       val perOp = execs(j)
+      val z = perOp.head.numShards
+      val w = workload.shardWeights(ops(j).name, perOp.length, z)
       for (e <- perOp.indices) perOp(e).setShardWeights(w, e * z)
     }
   }
@@ -370,12 +370,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     *                      remote bytes per tick
     */
   private abstract class Controller(val capsRemoteNic: Boolean) {
-    /** Numbers of executors (tier-1 partitions) and shards per executor used
-      * for the shard-weight aggregation; identical totals in all paradigms so
-      * repartitioning granularity is comparable (§5 setup).
-      */
-    def tier1Of(op: Int): (Int, Int)
-
     /** Per op: its executor runtimes. */
     def layout(): IndexedSeq[IndexedSeq[ExecutorRuntime]]
 
@@ -411,8 +405,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     * executors, over a static hash partition of the keys; no elasticity.
     */
   private class StaticController extends Controller(capsRemoteNic = false) {
-    def tier1Of(op: Int): (Int, Int) = (1, config.executorsOf(ops(op).name) * config.shardsPerExecutor)
-
     def layout(): IndexedSeq[IndexedSeq[ExecutorRuntime]] = {
       // Allocate all cores across operators proportionally to their steady
       // CPU demand ("enough executors to fully utilize all CPU cores", §5);
@@ -430,12 +422,12 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       }
       var node = 0
       for (j <- ops.indices) yield {
-        val (_, z) = tier1Of(j)
+        // One runtime holding as many shards as the executor-centric layout
+        // has in total: the same granularity in every paradigm (§5 setup).
+        // Its new map is the static key partition, shard s -> task s mod T.
+        val z = config.executorsOf(ops(j).name) * config.shardsPerExecutor
         val nodes = (0 until cores(j)).map { _ => val n = node % numNodes; node += 1; n }
-        val rt = new ExecutorRuntime(ops(j), 0, z, nodes.head, nodes)
-        // Static key partition: shard s -> task s mod T.
-        rt.shardMap.replaceAll((0 until z).map(_ % cores(j)))
-        IndexedSeq(rt)
+        IndexedSeq(new ExecutorRuntime(ops(j), 0, z, nodes.head, nodes))
       }
     }
   }
@@ -556,17 +548,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     private var lastBalance = 0.0
     private var lastSchedule = 0.0
 
-    def tier1Of(op: Int): (Int, Int) = (config.executorsOf(ops(op).name), config.shardsPerExecutor)
-
     def layout(): IndexedSeq[IndexedSeq[ExecutorRuntime]] = {
       var node = 0
       val out = for (j <- ops.indices) yield {
-        val y = config.executorsOf(ops(j).name)
-        val (_, z) = tier1Of(j)
-        for (e <- 0 until y) yield {
+        for (e <- 0 until config.executorsOf(ops(j).name)) yield {
           val local = node % numNodes
           node += 1
-          new ExecutorRuntime(ops(j), e, z, local, IndexedSeq(local))
+          new ExecutorRuntime(ops(j), e, config.shardsPerExecutor, local, IndexedSeq(local))
         }
       }
       val totalExecs = out.map(_.length).sum

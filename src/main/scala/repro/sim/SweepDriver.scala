@@ -28,6 +28,13 @@ object SweepDriver {
     StructField("migration_mb_per_sec", DoubleType),
     StructField("remote_mb_per_sec", DoubleType)))
 
+  /** Decode a [[sweep]] result back into its rows (in the DataFrame's order). */
+  def rows(df: DataFrame): Seq[SweepRow] =
+    df.collect().toSeq.map(r => SweepRow(r.getAs[String]("label"), r.getAs[Double]("param"),
+      r.getAs[Double]("throughput"), r.getAs[Double]("mean_latency_sec"),
+      r.getAs[Double]("p99_latency_sec"), r.getAs[Double]("migration_mb_per_sec"),
+      r.getAs[Double]("remote_mb_per_sec")))
+
   /** Run `points` in parallel on the Spark cluster. `mkRun` must be a pure
     * function of the point (it is serialised to executors); it builds and
     * runs one simulation and returns its result summary.

@@ -1,7 +1,7 @@
 package repro.experiments
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.sim.OperatorSpec
+import repro.sim.{OperatorSpec, SweepDriver}
 import repro.sse.SSEWorkload
 
 /** Structural smoke tests of the experiment harnesses at reduced scale —
@@ -70,5 +70,8 @@ class ExperimentsSpec extends AnyFunSuite {
       Experiments.Table2Row("naive-EC", 1, 2, 3, 4),
       Experiments.Table2Row("Elasticutor", 1, 2, 3, 4)))
     Experiments.printTable3(Seq(Experiments.Table3Row(8, 66.6, 4.1)))
+    Experiments.printFig6(Seq(SweepDriver.SweepRow("RC", 16, 1e5, 0.2, 0.9, 1, 2)))
+    Experiments.printReassign(Seq(Experiments.ReassignRow("RC", "operator-level", 300, 0.5, 7)),
+      Seq(Experiments.SyncVsUpstreamRow(8, 40, 2)))
   }
 }

@@ -15,12 +15,10 @@ class SweepDriverSpec extends SparkSpec {
   }
 
   test("SweepDriver runs points on the Spark cluster and labels them") {
-    val df = SweepDriver.sweep(spark, Seq(("a", 1.0), ("b", 2.0)), { case (label, p) =>
-      SweepDriver.SweepRow(label, p, p * 100, 0.01, 0.02, 0.0, 0.0)
-    })
-    val rows = df.orderBy("label").collect()
-    assert(rows.map(_.getAs[String]("label")).toSeq == Seq("a", "b"))
-    assert(rows.map(_.getAs[Double]("throughput")).toSeq == Seq(100.0, 200.0))
+    val mkRow = (label: String, p: Double) =>
+      SweepDriver.SweepRow(label, p, p * 100, p + 0.1, p + 0.2, p + 0.3, p + 0.4)
+    val df = SweepDriver.sweep(spark, Seq(("a", 1.0), ("b", 2.0)), { case (label, p) => mkRow(label, p) })
+    assert(SweepDriver.rows(df.orderBy("label")) == Seq(mkRow("a", 1.0), mkRow("b", 2.0)))
   }
 
   test("SweepDriver.summarize lifts a SimResult") {

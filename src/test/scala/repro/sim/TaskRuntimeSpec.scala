@@ -105,6 +105,14 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     assert(math.abs(rt.totalShare - 1.0) < 1e-9, "totalShare still counts paused arrivals")
   }
 
+  test("ExecutorRuntime fails loudly on a shard map that points past its tasks") {
+    val rt = new ExecutorRuntime(
+      OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = 4, localNode = 0,
+      initialTaskNodes = IndexedSeq(0, 0))
+    rt.shardMap.reassign(3, 2)
+    intercept[IndexOutOfBoundsException](rt.refreshTaskShares())
+  }
+
   /** The cached shares recomputed from scratch: `(taskShare, totalShare,
     * remoteShare)` over the current weights, pauses, shard map and tasks.
     */
@@ -114,7 +122,7 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     for (s <- 0 until rt.numShards) {
       total += rt.shardWeight(s)
       val t = rt.shardMap.taskOf(s)
-      if (!rt.shardPaused(s) && t < rt.tasks.length) share(t) += rt.shardWeight(s)
+      if (!rt.shardPaused(s)) share(t) += rt.shardWeight(s)
     }
     var remote = 0.0
     for (t <- rt.tasks.indices if rt.tasks(t).node != rt.localNode) remote += share(t)

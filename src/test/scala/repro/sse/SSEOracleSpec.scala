@@ -83,12 +83,7 @@ class SSEOracleSpec extends SparkSpec {
   test("VwapBolt agrees with the SQL VWAP per stock") {
     val bolt = new VwapBolt
     val state = new InMemoryKeyedState
-    val txs = orderSeq.foldLeft((Map.empty[Long, OrderBook], List.empty[Transaction])) {
-      case ((books, acc), o) =>
-        val b = books.getOrElse(o.stockId, new OrderBook(o.stockId))
-        (books + (o.stockId -> b), acc ++ b.execute(o))
-    }._2
-    txs.foreach(t => bolt.process(StreamTuple(t.stockId, t), state))
+    SSEOrders.replay(orderSeq).foreach(t => bolt.process(StreamTuple(t.stockId, t), state))
     val sqlVwap = txDf.groupBy("stock_id")
       .agg((sum(col("price_ticks") * col("shares")) / sum(col("shares"))) as "vwap")
       .collect().map(r => r.getAs[Long]("stock_id") -> r.getAs[Double]("vwap")).toMap
@@ -103,13 +98,7 @@ class SSEOracleSpec extends SparkSpec {
   test("VolumeBolt cumulative volume agrees with SQL per stock") {
     val bolt = new VolumeBolt
     val state = new InMemoryKeyedState
-    val txs = SSEOrders.collectOrders(ordersDf)
-      .foldLeft((scala.collection.mutable.HashMap.empty[Long, OrderBook], List.newBuilder[Transaction])) {
-        case ((books, acc), o) =>
-          acc ++= books.getOrElseUpdate(o.stockId, new OrderBook(o.stockId)).execute(o)
-          (books, acc)
-      }._2.result()
-    txs.foreach(t => bolt.process(StreamTuple(t.stockId, t), state))
+    SSEOrders.replay(orderSeq).foreach(t => bolt.process(StreamTuple(t.stockId, t), state))
     val sqlVol = txDf.groupBy("stock_id").agg(sum("shares") as "v")
       .collect().map(r => r.getAs[Long]("stock_id") -> r.getAs[Long]("v")).toMap
     sqlVol.foreach { case (stock, expected) =>

@@ -52,15 +52,17 @@ object SSEOrders {
         timeMs = r.getAs[Long]("time_ms"))
     }
 
-  /** Run the full matching engine over `orders` (sequentially per stock, in
-    * arrival order — the semantics the distributed system must preserve)
-    * and return the transactions as a DataFrame.
+  /** Run the full matching engine over `orders`, sequentially per stock in
+    * arrival order — the semantics the distributed system must preserve.
     */
-  def transactions(spark: SparkSession, orders: Seq[Order]): DataFrame = {
+  def replay(orders: Seq[Order]): Seq[Transaction] = {
     val books = scala.collection.mutable.HashMap.empty[Long, OrderBook]
-    val txs = orders.flatMap { o =>
-      books.getOrElseUpdate(o.stockId, new OrderBook(o.stockId)).execute(o)
-    }
+    orders.flatMap(o => books.getOrElseUpdate(o.stockId, new OrderBook(o.stockId)).execute(o))
+  }
+
+  /** [[replay]] `orders` and return the transactions as a DataFrame. */
+  def transactions(spark: SparkSession, orders: Seq[Order]): DataFrame = {
+    val txs = replay(orders)
     val schema = StructType(Seq(
       StructField("time_ms", LongType), StructField("stock_id", LongType),
       StructField("price_ticks", LongType), StructField("shares", LongType),
