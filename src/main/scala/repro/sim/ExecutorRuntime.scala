@@ -4,8 +4,9 @@ import scala.collection.mutable
 import repro.core.ShardMap
 
 /** A batch of tuples that arrived together; the unit of queueing in the
-  * fluid simulation. `work` is CPU-seconds, `tuples` the (fractional) tuple
-  * count it represents. FIFO draining of cohorts preserves the per-key
+  * fluid simulation (held in hold buffers as objects, queued in a task's
+  * ring as three doubles). `work` is CPU-seconds, `tuples` the (fractional)
+  * tuple count it represents. FIFO draining of cohorts preserves the per-key
   * arrival order the paper's correctness argument relies on.
   */
 final class Cohort(val arrivalSec: Double, var work: Double, var tuples: Double)
@@ -73,26 +74,54 @@ object CompletionStats {
     java.lang.Double.longBitsToDouble(hi)
   }
 
-  /** Histogram bucket of a latency: a binary search over `edges`, so a NaN
-    * or negative latency lands in bucket 0 and +∞ in the last one, as they
-    * do under the formula.
+  /** Bucket of the smallest non-negative double with each 13-bit prefix of its
+    * IEEE bits (11 exponent bits and the top 2 mantissa bits, a
+    * quarter-octave). A prefix spans at most 1.25× and consecutive edges lie
+    * 10^0.1 ≈ 1.26× apart, so at most one edge falls inside a prefix; the
+    * `require` checks that on the built table.
+    */
+  private val prefixBucket: Array[Byte] = {
+    val table = new Array[Byte](1 << 13)
+    var k = 0
+    var p = 0
+    while (p < table.length) {
+      val smallest = java.lang.Double.longBitsToDouble(p.toLong << 50)
+      while (k < edges.length && edges(k) <= smallest) k += 1
+      table(p) = k.toByte
+      p += 1
+    }
+    require((1 until table.length).forall(p => table(p) - table(p - 1) <= 1),
+      "a 13-bit prefix holds more than one histogram edge")
+    table
+  }
+
+  /** Histogram bucket of a latency: the number of `edges` at or below it,
+    * read from its bit prefix plus one comparison with the next edge. A NaN,
+    * zero or negative latency lands in bucket 0 and +∞ in the last one, as
+    * they do under the formula. The test is `> 0`, not `>= 0`, so -0.0 (sign
+    * bit set) never reaches the table.
     */
   def bucketOf(latencySec: Double): Int = {
-    var lo = 0
-    var hi = edges.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (edges(mid) <= latencySec) lo = mid + 1 else hi = mid
-    }
-    lo
+    if (!(latencySec > 0)) return 0
+    val k = prefixBucket((java.lang.Double.doubleToRawLongBits(latencySec) >>> 50).toInt)
+    if (k < edges.length && edges(k) <= latencySec) k + 1 else k
   }
 }
 
 /** One data-processing thread bound to one CPU core (§3.2). Holds a FIFO
   * pending queue of cohorts; drains one core's worth of work per tick.
+  *
+  * The queue is a growable ring of primitive doubles, three per cohort
+  * (arrival, work, tuples), so enqueueing allocates nothing once the ring
+  * has grown to the task's peak backlog.
   */
 final class TaskRuntime(val node: Int) {
-  private val queue = mutable.ArrayDeque.empty[Cohort]
+  /** Cohort `k` of the queue (0 = head) is at `3 * ((head + k) & (capacity - 1))`. */
+  private var ring = new Array[Double](3 * TaskRuntime.InitialCapacity)
+  private var capacity = TaskRuntime.InitialCapacity
+  private var head = 0
+  private var size = 0
+
   var queuedWork: Double = 0.0
   var queuedTuples: Double = 0.0
 
@@ -101,29 +130,51 @@ final class TaskRuntime(val node: Int) {
     */
   var drainedWork: Double = 0.0
 
+  /** Enqueue a held cohort (a hold-buffer flush); `c` is not modified. */
+  def enqueue(c: Cohort): Double = enqueue(c.arrivalSec, c.work, c.tuples)
+
   /** Enqueue a cohort, honouring the back-pressure cap: work beyond
     * `TaskRuntime.MaxQueueSec` is refused (the source is throttled). Returns
     * the number of refused tuples.
     */
-  def enqueue(c: Cohort): Double = {
-    if (c.work <= 0) return 0.0
+  def enqueue(arrivalSec: Double, work: Double, tuples: Double): Double = {
+    if (work <= 0) return 0.0
     val room = TaskRuntime.MaxQueueSec - queuedWork
-    if (room <= 0) return c.tuples
-    if (c.work <= room) {
-      queue.append(c)
-      queuedWork += c.work
-      queuedTuples += c.tuples
+    if (room <= 0) return tuples
+    if (work <= room) {
+      push(arrivalSec, work, tuples)
+      queuedWork += work
+      queuedTuples += tuples
       0.0
     } else {
-      val frac = room / c.work
-      val refused = c.tuples * (1 - frac)
-      c.work = room
-      c.tuples *= frac
-      queue.append(c)
-      queuedWork += c.work
-      queuedTuples += c.tuples
+      val frac = room / work
+      val refused = tuples * (1 - frac)
+      val admitted = tuples * frac
+      push(arrivalSec, room, admitted)
+      queuedWork += room
+      queuedTuples += admitted
       refused
     }
+  }
+
+  private def push(arrivalSec: Double, work: Double, tuples: Double): Unit = {
+    if (size == capacity) grow()
+    val i = 3 * ((head + size) & (capacity - 1))
+    ring(i) = arrivalSec
+    ring(i + 1) = work
+    ring(i + 2) = tuples
+    size += 1
+  }
+
+  /** Double the ring, unwrapping the queue to start at slot 0. */
+  private def grow(): Unit = {
+    val bigger = new Array[Double](6 * capacity)
+    val first = 3 * (capacity - head) // doubles from the head to the ring's end
+    System.arraycopy(ring, 3 * head, bigger, 0, first)
+    System.arraycopy(ring, 0, bigger, first, 3 * head)
+    ring = bigger
+    capacity *= 2
+    head = 0
   }
 
   /** Drain up to `capacitySec` of work ending at `nowSec`; completed
@@ -133,20 +184,26 @@ final class TaskRuntime(val node: Int) {
   def drain(capacitySec: Double, nowSec: Double, stats: CompletionStats): Double = {
     var cap = capacitySec
     var completed = 0.0
-    while (cap > 1e-12 && queue.nonEmpty) {
-      val head = queue.head
-      val take = math.min(head.work, cap)
-      val frac = take / head.work
-      val n = head.tuples * frac
-      stats.record(n, math.max(0.0, nowSec - head.arrivalSec))
+    while (cap > 1e-12 && size > 0) {
+      val i = 3 * head
+      val work = ring(i + 1)
+      val tuples = ring(i + 2)
+      val take = math.min(work, cap)
+      val frac = take / work
+      val n = tuples * frac
+      stats.record(n, math.max(0.0, nowSec - ring(i)))
       completed += n
-      head.work -= take
-      head.tuples -= n
+      val left = work - take
+      ring(i + 1) = left
+      ring(i + 2) = tuples - n
       queuedWork -= take
       queuedTuples -= n
       drainedWork += take
       cap -= take
-      if (head.work <= 1e-12) queue.removeHead()
+      if (left <= 1e-12) {
+        head = (head + 1) & (capacity - 1)
+        size -= 1
+      }
     }
     if (queuedWork < 0) queuedWork = 0
     if (queuedTuples < 0) queuedTuples = 0
@@ -158,6 +215,7 @@ final class TaskRuntime(val node: Int) {
 
 object TaskRuntime {
   final val MaxQueueSec = 4.0 // a task's queue cap in core-seconds (back-pressure)
+  private[sim] final val InitialCapacity = 16 // cohorts; a power of two
 }
 
 /** Elasticutor's consistent shard reassignment (§3.3) as a state machine the

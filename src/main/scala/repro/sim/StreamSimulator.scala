@@ -316,7 +316,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         if (remote && remoteScale < 1.0)
           secBackpressured += opRate * share * dt * (1 - remoteScale)
         if (tuples > 0)
-          secBackpressured += task.enqueue(new Cohort(now, tuples * cpuSecPerTuple, tuples))
+          secBackpressured += task.enqueue(now, tuples * cpuSecPerTuple, tuples)
       }
       t += 1
     }
@@ -522,10 +522,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
             val total = math.max(shares.sum, 1e-12)
             for (c <- r.hold; t <- rt.tasks.indices) {
               val f = shares(t) / total
-              if (f > 0) {
-                val piece = new Cohort(c.arrivalSec, c.work * f, c.tuples * f)
-                secBackpressured += rt.tasks(t).enqueue(piece)
-              }
+              if (f > 0)
+                secBackpressured += rt.tasks(t).enqueue(c.arrivalSec, c.work * f, c.tuples * f)
             }
             secMigrationBytes += r.bytes
             repartLog += RepartitionRecord(r.startSec, rt.op.name, r.moves.length,
@@ -616,8 +614,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val infos = allExecs.lazyZip(lambdas).map((rt, lambda) =>
         CpuAssignment.ExecutorInfo(rt.localNode, rt.stateBytes,
           lambda * (rt.op.tupleBytes + rt.op.outBytes) / math.max(1, rt.tasks.length)))
-      def prev = CpuAssignment.Assignment(
-        IndexedSeq.tabulate(numNodes)(i => allExecs.map(_.coresPerNode(numNodes)(i))))
+      def prev = {
+        val held = allExecs.map(_.coresPerNode(numNodes))
+        CpuAssignment.Assignment(IndexedSeq.tabulate(numNodes)(i => held.map(_(i))))
+      }
       val capacity = IndexedSeq.fill(numNodes)(cluster.coresPerNode)
       if (naive) DynamicScheduler.scheduleNaive(loads, infos, capacity, config.latencyTargetSec)
       else DynamicScheduler.schedule(loads, infos, prev, capacity, config.latencyTargetSec, config.phi0)

@@ -5,8 +5,8 @@ import org.apache.spark.sql.types._
 
 /** Fans a parameter sweep out over the Spark cluster: one simulation per
   * task. Simulations are CPU-bound and independent, which is exactly the
-  * shape Spark's scheduler is good at; result rows come back as a DataFrame
-  * for SQL-side analysis.
+  * shape Spark's scheduler is good at; result rows come back, already
+  * computed, as a DataFrame for SQL-side analysis.
   */
 object SweepDriver {
 
@@ -38,6 +38,10 @@ object SweepDriver {
   /** Run `points` in parallel on the Spark cluster. `mkRun` must be a pure
     * function of the point (it is serialised to executors); it builds and
     * runs one simulation and returns its result summary.
+    *
+    * The sweep runs eagerly: its rows are collected once, here, and the
+    * returned DataFrame holds them locally in input order, so each point
+    * runs exactly once whatever actions later read the DataFrame.
     */
   def sweep(spark: SparkSession,
             points: Seq[(String, Double)],
@@ -50,7 +54,8 @@ object SweepDriver {
         Row(r.label, r.param, r.throughput, r.meanLatencySec, r.p99LatencySec,
           r.migrationMBps, r.remoteMBps)
       })
-    spark.createDataFrame(rows, schema)
+      .collect()
+    spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
   }
 
   /** Convenience: build the standard summary from a finished run. */

@@ -40,6 +40,27 @@ class CompletionStatsSpec extends AnyFunSuite {
     }
   }
 
+  test("table matches the formula on 10^7 raw 64-bit patterns") {
+    // Any sign, exponent and mantissa: the lookup indexes the bits directly.
+    val rng = new Random(20261017L)
+    var i = 0
+    while (i < 10000000) {
+      assertSameBucket(java.lang.Double.longBitsToDouble(rng.nextLong()))
+      i += 1
+    }
+  }
+
+  test("table matches the formula on subnormal latencies of either sign") {
+    val rng = new Random(20261018L)
+    val largestSubnormal = java.lang.Double.longBitsToDouble((1L << 52) - 1)
+    Seq(largestSubnormal, -largestSubnormal, -Double.MinPositiveValue).foreach(assertSameBucket)
+    for (_ <- 0 until 100000) {
+      val bits = rng.nextLong() & ((1L << 52) - 1) // exponent field 0: subnormal or zero
+      assertSameBucket(java.lang.Double.longBitsToDouble(bits))
+      assertSameBucket(java.lang.Double.longBitsToDouble(bits | Long.MinValue))
+    }
+  }
+
   test("table matches the formula on zero, negative and non-finite latencies") {
     Seq(0.0, -0.0, -1e-9, -1.0, -Double.MaxValue, Double.NegativeInfinity, Double.NaN,
       Double.PositiveInfinity, Double.MaxValue, Double.MinPositiveValue, 1e-6, 1e6)

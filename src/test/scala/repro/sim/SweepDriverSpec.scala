@@ -21,6 +21,16 @@ class SweepDriverSpec extends SparkSpec {
     assert(SweepDriver.rows(df.orderBy("label")) == Seq(mkRow("a", 1.0), mkRow("b", 2.0)))
   }
 
+  test("SweepDriver runs each point once and keeps the input order") {
+    val runs = spark.sparkContext.longAccumulator("sweep runs")
+    val points = Seq(("c", 3.0), ("a", 1.0), ("d", 4.0), ("b", 2.0))
+    val mkRow = (label: String, p: Double) => SweepDriver.SweepRow(label, p, p, p, p, p, p)
+    val df = SweepDriver.sweep(spark, points, { case (label, p) => runs.add(1); mkRow(label, p) })
+    assert(df.count() == points.length)
+    assert(SweepDriver.rows(df) == points.map { case (label, p) => mkRow(label, p) })
+    assert(runs.sum == points.length, s"${runs.sum} runs for ${points.length} points")
+  }
+
   test("SweepDriver.summarize lifts a SimResult") {
     val s = SweepDriver.summarize("x", 3.0, result)
     assert(s.label == "x" && s.param == 3.0)

@@ -58,6 +58,57 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     assert(t.isDrained)
   }
 
+  test("TaskRuntime's ring matches the ArrayDeque reference bit for bit") {
+    def same(a: Double, b: Double, what: => String): Unit =
+      if (java.lang.Double.doubleToRawLongBits(a) != java.lang.Double.doubleToRawLongBits(b))
+        fail(s"$what: ring $a, reference $b")
+    // How often each queue path ran, over all seeds.
+    var (partial, full, longDrains, wraps, peak) = (0, 0, 0, 0, 0)
+    forSeeds(300, seed = 777L) { rng =>
+      val task = new TaskRuntime(0)
+      val ref = new TaskRuntimeReference
+      val (stats, refStats) = (new CompletionStats, new CompletionStats)
+      // Per sequence: how often it enqueues, and how large its cohorts are
+      // (large ones fill the 4 s back-pressure cap).
+      val enqueueP = 0.4 + 0.4 * rng.nextDouble()
+      val maxWork = if (rng.nextBoolean()) 1e-3 else 1.5
+      var (capacity, head) = (TaskRuntime.InitialCapacity, 0) // the ring's layout, to count wraps
+      var now = 0.0
+      for (step <- 0 until 500) {
+        now += 1e-3 * rng.nextDouble()
+        val before = ref.length
+        if (rng.nextDouble() < enqueueP) {
+          val work = if (rng.nextInt(20) == 0) 0.0 else maxWork * rng.nextDouble()
+          val tuples = work * 1e3 * (0.5 + rng.nextDouble())
+          val refused = task.enqueue(now, work, tuples)
+          val refRefused = ref.enqueue(new Cohort(now, work, tuples))
+          same(refused, refRefused, s"step $step: refused tuples")
+          if (ref.length > before) {
+            if (before == capacity) { capacity *= 2; head = 0 }
+            if (head + before >= capacity) wraps += 1
+            if (refRefused > 0) partial += 1
+          } else if (work > 0) full += 1
+        } else {
+          val cap = if (rng.nextInt(10) == 0) 0.5 * rng.nextDouble() else 1e-3 * rng.nextDouble()
+          same(task.drain(cap, now, stats), ref.drain(cap, now, refStats), s"step $step: completed")
+          head = (head + before - ref.length) % capacity
+          if (before - ref.length >= 10) longDrains += 1
+        }
+        peak = math.max(peak, ref.length)
+        same(task.queuedWork, ref.queuedWork, s"step $step: queuedWork")
+        same(task.queuedTuples, ref.queuedTuples, s"step $step: queuedTuples")
+        same(task.drainedWork, ref.drainedWork, s"step $step: drainedWork")
+      }
+      same(stats.tuples, refStats.tuples, "stats tuples")
+      same(stats.latencySum, refStats.latencySum, "stats latencySum")
+      for (q <- Seq(0.01, 0.1, 0.5, 0.9, 0.99, 1.0))
+        same(stats.latencyQuantile(q), refStats.latencyQuantile(q), s"stats quantile $q")
+    }
+    assert(partial > 0 && full > 0, s"refusals: $partial partial, $full full")
+    assert(longDrains > 0 && wraps > 0, s"$longDrains drains across 10+ cohorts, $wraps wrapped pushes")
+    assert(peak > TaskRuntime.InitialCapacity, s"peak queue $peak cohorts never grew the ring")
+  }
+
   test("CompletionStats mean and quantile") {
     val s = new CompletionStats
     s.record(99, 0.001)
