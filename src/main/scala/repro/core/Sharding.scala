@@ -4,8 +4,8 @@ package repro.core
   *
   * Tier 1 is static: a hash function partitions the operator's key space
   * across executors, and each executor's key subspace across its `z` shards.
-  * Tier 2 is dynamic: an explicit shard→task map, updated by the
-  * intra-executor load balancer on shard reassignments.
+  * Tier 2 is dynamic: each executor's shard→task map, which only its shard
+  * reassignments change (`repro.sim.ExecutorRuntime`).
   */
 object Sharding {
 
@@ -45,33 +45,4 @@ object Sharding {
   /** Global shard id across an operator: executor-major layout. */
   def globalShardOf(key: Long, numExecutors: Int, shardsPerExecutor: Int): Int =
     executorOf(key, numExecutors) * shardsPerExecutor + shardOf(key, shardsPerExecutor)
-}
-
-/** Mutable tier-2 routing table: shard → task. One instance per elastic
-  * executor; the receiver daemon consults it for every incoming tuple.
-  *
-  * @param numShards shards in this executor (the paper's `z`)
-  */
-final class ShardMap(val numShards: Int, initialTasks: Int) {
-  require(numShards > 0, s"numShards must be positive: $numShards")
-  require(initialTasks > 0, s"initialTasks must be positive: $initialTasks")
-
-  private val assignment = Array.tabulate(numShards)(_ % initialTasks)
-
-  /** Task currently responsible for `shard`. */
-  def taskOf(shard: Int): Int = assignment(shard)
-
-  /** Reassign one shard (the routing-table update step of §3.3). */
-  def reassign(shard: Int, toTask: Int): Unit = assignment(shard) = toTask
-
-  /** Snapshot of the full shard→task vector. */
-  def snapshot: IndexedSeq[Int] = assignment.toIndexedSeq
-
-  /** Replace the entire mapping (used when tasks are added/removed). */
-  def replaceAll(newAssignment: IndexedSeq[Int]): Unit = {
-    require(newAssignment.length == numShards,
-      s"assignment length ${newAssignment.length} != numShards $numShards")
-    var i = 0
-    while (i < numShards) { assignment(i) = newAssignment(i); i += 1 }
-  }
 }

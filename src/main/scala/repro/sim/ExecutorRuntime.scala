@@ -1,7 +1,6 @@
 package repro.sim
 
 import scala.collection.mutable
-import repro.core.ShardMap
 
 /** A batch of tuples that arrived together; the unit of queueing in the
   * fluid simulation (held in hold buffers as objects, queued in a task's
@@ -274,91 +273,141 @@ final case class RepartitionRecord(timeSec: Double,
 /** Runtime of one elastic executor (or, for the static/RC paradigms, of one
   * whole operator whose "tasks" are the single-core executors).
   *
+  * The executor owns its routing state: the shard weights, the tier-2
+  * shard→task map (§3.1–3.2), the shards paused by in-flight moves and the
+  * task set. Only five mutators write them ([[setShardWeights]], [[remap]],
+  * [[replaceTasks]], [[pause]], [[resume]]); each marks the cached routing
+  * shares stale, and the first read after a change recomputes them, so no
+  * caller can route by stale shares.
+  *
   * @param op          operator spec
-  * @param execIndex   executor index within the operator
-  * @param numShards   tier-2 shard count owned by this runtime
+  * @param numShards   tier-2 shard count owned by this runtime (the paper's `z`)
   * @param localNode   node of the main process (receiver/emitter)
   * @param initialTaskNodes node of each initial task
   */
 final class ExecutorRuntime(val op: OperatorSpec,
-                            val execIndex: Int,
                             val numShards: Int,
                             val localNode: Int,
                             initialTaskNodes: IndexedSeq[Int]) {
-  require(initialTaskNodes.nonEmpty, s"executor needs at least one task (${op.name}/$execIndex)")
+  require(numShards > 0, s"numShards must be positive: $numShards")
+  require(initialTaskNodes.nonEmpty, s"executor needs at least one task (${op.name})")
 
-  val tasks: mutable.ArrayBuffer[TaskRuntime] =
-    mutable.ArrayBuffer.from(initialTaskNodes.map(new TaskRuntime(_)))
-  val shardMap = new ShardMap(numShards, tasks.length)
-  /** Tasks being decommissioned: keep draining until their moves finish. */
-  val retiring: mutable.ArrayBuffer[TaskRuntime] = mutable.ArrayBuffer.empty
-
-  /** Current weight (fraction of the operator's input) of each local shard.
-    * Written only by [[setShardWeights]], which refreshes the cached shares.
-    */
+  private val taskSet = mutable.ArrayBuffer.from(initialTaskNodes.map(new TaskRuntime(_)))
+  /** Shard → index into [[tasks]]; starts round-robin, s → s mod tasks. */
+  private val shardTask: Array[Int] = Array.tabulate(numShards)(_ % taskSet.length)
+  /** Weight (fraction of the operator's input) of each local shard. */
   private val weights: Array[Double] = new Array[Double](numShards)
-  /** True while the shard's routing is paused by an in-flight move. Whoever
-    * pauses or unpauses shards calls [[refreshTaskShares]] before the next
-    * tick routes by the shares.
-    */
-  val shardPaused: Array[Boolean] = new Array[Boolean](numShards)
+  /** True while the shard's routing is paused by an in-flight move. */
+  private val paused: Array[Boolean] = new Array[Boolean](numShards)
 
-  private var shares: Array[Double] = new Array[Double](tasks.length)
+  private var stale = true
+  private var shares: Array[Double] = Array.emptyDoubleArray
   private var shareTotal: Double = 0.0
   private var shareRemote: Double = 0.0
 
+  /** Tasks being decommissioned: keep draining until their moves finish. */
+  val retiring: mutable.ArrayBuffer[TaskRuntime] = mutable.ArrayBuffer.empty
+
   val activeMoves: mutable.ArrayBuffer[ShardMoveOp] = mutable.ArrayBuffer.empty
 
-  /** Tuples admitted (arrival measurement window for the scheduler). */
+  /** Tuples offered to this executor since the scheduler last reset it (its
+    * arrival measurement window): paused-shard and refused tuples included.
+    */
   var windowArrivals: Double = 0.0
+
+  /** The active tasks; a shard map entry is an index into this sequence. */
+  def tasks: collection.IndexedSeq[TaskRuntime] = taskSet
 
   def shardWeight(shard: Int): Double = weights(shard)
 
+  /** Task currently responsible for `shard`. */
+  def taskOf(shard: Int): Int = shardTask(shard)
+
+  def isPaused(shard: Int): Boolean = paused(shard)
+
+  /** Snapshot of the shard → task map, as the load balancer takes it. */
+  def shardMap: IndexedSeq[Int] = shardTask.toIndexedSeq
+
   /** Install the weights `w(from until from + numShards)` (this executor's
-    * slice of the operator's global shard weights) and refresh the shares.
+    * slice of the operator's global shard weights).
     */
   def setShardWeights(w: Array[Double], from: Int = 0): Unit = {
-    System.arraycopy(w, from, weights, 0, numShards)
-    refreshTaskShares()
+    System.arraycopy(w, from, weights, 0, numShards); stale = true
   }
 
-  /** Recompute the cached shares from the weights, pauses, shard map and
-    * task set. This is the executor's only O(numShards) step; it runs when
-    * one of those changes, never per tick.
+  /** Replace the whole shard → task map. */
+  def remap(assignment: collection.IndexedSeq[Int]): Unit = {
+    require(assignment.length == numShards,
+      s"assignment length ${assignment.length} != numShards $numShards")
+    assignment.foreach(checkTask)
+    assignment.copyToArray(shardTask)
+    stale = true
+  }
+
+  /** Replace the task set; the map becomes round-robin over the new tasks
+    * until the caller [[remap]]s it.
     */
-  def refreshTaskShares(): Unit = {
-    val share = new Array[Double](tasks.length)
+  def replaceTasks(newTasks: IterableOnce[TaskRuntime]): Unit = {
+    taskSet.clear()
+    taskSet ++= newTasks
+    require(taskSet.nonEmpty, s"executor needs at least one task (${op.name})")
+    remap(IndexedSeq.tabulate(numShards)(_ % taskSet.length))
+  }
+
+  /** Pause `shard`'s routing: its arrivals go to its move's hold buffer. */
+  def pause(shard: Int): Unit = { paused(shard) = true; stale = true }
+
+  /** Route `shard` to task `toTask` and unpause it (the routing-table update
+    * that ends a move, §3.3).
+    */
+  def resume(shard: Int, toTask: Int): Unit = {
+    checkTask(toTask)
+    shardTask(shard) = toTask
+    paused(shard) = false
+    stale = true
+  }
+
+  private def checkTask(t: Int): Unit =
+    require(t >= 0 && t < taskSet.length, s"task $t outside ${op.name}'s ${taskSet.length} tasks")
+
+  /** Recompute the cached shares from the weights, pauses, shard map and
+    * task set. This is the executor's only O(numShards) step; it runs on the
+    * first read after a change, never per tick.
+    */
+  private def refresh(): Unit = {
+    val share = new Array[Double](taskSet.length)
     var sum = 0.0
     var s = 0
     while (s < numShards) {
       val w = weights(s)
       sum += w
-      if (!shardPaused(s)) share(shardMap.taskOf(s)) += w
+      if (!paused(s)) share(shardTask(s)) += w
       s += 1
     }
     var acc = 0.0
     var t = 0
-    while (t < tasks.length) {
-      if (tasks(t).node != localNode) acc += share(t)
+    while (t < taskSet.length) {
+      if (taskSet(t).node != localNode) acc += share(t)
       t += 1
     }
     shares = share
     shareTotal = sum
     shareRemote = acc
+    stale = false
   }
 
   /** Σ weight of unpaused shards per task — the per-tick routing vector. */
-  def taskShare: Array[Double] = shares
+  def taskShare: Array[Double] = { if (stale) refresh(); shares }
 
   /** Total weight share of this executor (paused shards included — they
     * still arrive, just into hold buffers).
     */
-  def totalShare: Double = shareTotal
+  def totalShare: Double = { if (stale) refresh(); shareTotal }
 
   /** Share arriving via remote tasks (node != localNode): the traffic that
     * crosses receiver/emitter to remote processes (§3.2).
     */
-  def remoteShare: Double = shareRemote
+  def remoteShare: Double = { if (stale) refresh(); shareRemote }
 
   /** Per-shard absolute load (CPU-seconds/second) at operator input rate
     * `opRate` — the balancer's workload statistics.
@@ -374,7 +423,6 @@ final class ExecutorRuntime(val op: OperatorSpec,
 
   /** Imbalance factor δ over active tasks. */
   def imbalance: Double = {
-    if (tasks.isEmpty) return 1.0
     val total = taskShare.sum
     if (total <= 0) 1.0 else taskShare.max / (total / tasks.length)
   }

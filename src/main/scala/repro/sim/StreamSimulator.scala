@@ -331,7 +331,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     }
   }
 
-  private def countBusy(ts: mutable.ArrayBuffer[TaskRuntime]): Unit = {
+  private def countBusy(ts: collection.IndexedSeq[TaskRuntime]): Unit = {
     var t = 0
     while (t < ts.length) {
       if (ts(t).queuedWork > 0) busyOnNode(ts(t).node) += 1
@@ -342,7 +342,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
   /** Drain each task in `ts` for one tick, at its share of its node's cores;
     * returns `completed` plus the tuples they complete, added in task order.
     */
-  private def serve(ts: mutable.ArrayBuffer[TaskRuntime], completed: Double, dt: Double,
+  private def serve(ts: collection.IndexedSeq[TaskRuntime], completed: Double, dt: Double,
                     endOfTick: Double, stats: CompletionStats): Double = {
     var acc = completed
     var t = 0
@@ -389,16 +389,11 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     /** Periodic control at tick time `now`, given this tick's op input rates. */
     def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = ()
 
-    /** Replace an executor's shard map with a freshly balanced one, free of
-      * protocol cost (only valid before the clock starts).
+    /** Replace an executor's shard map, round-robin until the clock starts,
+      * with a freshly balanced one, free of protocol cost.
       */
-    protected final def installBalancedMap(rt: ExecutorRuntime, opRate: Double): Unit = {
-      val loads = rt.shardLoads(opRate)
-      val rr = IndexedSeq.tabulate(rt.numShards)(_ % rt.tasks.length)
-      val reb = LoadBalancer.rebalance(loads, rr, rt.tasks.length, config.theta)
-      rt.shardMap.replaceAll(reb.assignment)
-      rt.refreshTaskShares()
-    }
+    protected final def installBalancedMap(rt: ExecutorRuntime, opRate: Double): Unit =
+      rt.remap(LoadBalancer.rebalance(rt.shardLoads(opRate), rt.shardMap, rt.tasks.length, config.theta).assignment)
   }
 
   /** Storm default: one runtime per operator whose tasks are its single-core
@@ -427,7 +422,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         // Its new map is the static key partition, shard s -> task s mod T.
         val z = config.executorsOf(ops(j).name) * config.shardsPerExecutor
         val nodes = (0 until cores(j)).map { _ => val n = node % numNodes; node += 1; n }
-        IndexedSeq(new ExecutorRuntime(ops(j), 0, z, nodes.head, nodes))
+        IndexedSeq(new ExecutorRuntime(ops(j), z, nodes.head, nodes))
       }
     }
   }
@@ -481,7 +476,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       if (active(op) != null || rt.tasks.length < 2) return
       if (rt.imbalance <= config.theta) return
       val loads = rt.shardLoads(opRate)
-      val reb = LoadBalancer.rebalance(loads, rt.shardMap.snapshot, rt.tasks.length, config.theta)
+      val reb = LoadBalancer.rebalance(loads, rt.shardMap, rt.tasks.length, config.theta)
       if (reb.moves.isEmpty) return
       active(op) = new RepartitionOp(currentSec, reb.moves, reb.assignment)
     }
@@ -515,8 +510,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
           }
         case _ =>
           if (currentSec >= r.transferEndSec) {
-            rt.shardMap.replaceAll(r.targetAssignment)
-            rt.refreshTaskShares()
+            rt.remap(r.targetAssignment)
             // Flush held input proportionally to the new task shares.
             val shares = rt.taskShare
             val total = math.max(shares.sum, 1e-12)
@@ -549,10 +543,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     def layout(): IndexedSeq[IndexedSeq[ExecutorRuntime]] = {
       var node = 0
       val out = for (j <- ops.indices) yield {
-        for (e <- 0 until config.executorsOf(ops(j).name)) yield {
+        for (_ <- 0 until config.executorsOf(ops(j).name)) yield {
           val local = node % numNodes
           node += 1
-          new ExecutorRuntime(ops(j), e, config.shardsPerExecutor, local, IndexedSeq(local))
+          new ExecutorRuntime(ops(j), config.shardsPerExecutor, local, IndexedSeq(local))
         }
       }
       val totalExecs = out.map(_.length).sum
@@ -569,10 +563,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         for (j <- allExecs.indices) {
           val rt = allExecs(j)
           val nodes = (0 until numNodes).flatMap(i => Seq.fill(a.cores(i)(j))(i))
-          if (nodes.nonEmpty && nodes.length != rt.tasks.length) {
-            rt.tasks.clear()
-            rt.tasks ++= nodes.map(new TaskRuntime(_))
-          }
+          if (nodes.nonEmpty && nodes.length != rt.tasks.length) rt.replaceTasks(nodes.map(new TaskRuntime(_)))
           installBalancedMap(rt, rates(opIdx(rt.op.name)))
         }
       }
@@ -648,7 +639,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val renumber = new Array[Int](rt.tasks.length)
       kept.flatten.zipWithIndex.foreach { case (t, k) => renumber(t) = k }
       dropped.flatten.zipWithIndex.foreach { case (t, r) => renumber(t) = n + r }
-      val current = Array.tabulate(rt.numShards)(s => renumber(rt.shardMap.taskOf(s)))
+      val current = Array.tabulate(rt.numShards)(s => renumber(rt.taskOf(s)))
       val reb = LoadBalancer.resize(rt.shardLoads(opRate), current.toIndexedSeq, n + removed.length, n)
       val (forced, refine) = reb.moves.partition(_.fromTask >= n)
       forced.foreach(m => current(m.shard) = m.toTask)
@@ -656,13 +647,12 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       // Install the new task set and the renumbered map (renumbering survivor
       // indices is pure bookkeeping, not a migration); each forced shard
       // still leaves its removed task through the protocol.
-      rt.tasks.clear(); rt.tasks ++= newTasks
+      rt.replaceTasks(newTasks)
       rt.retiring ++= removed
-      rt.shardMap.replaceAll(current.toIndexedSeq)
+      rt.remap(current)
       for (m <- forced) startMove(rt, m.shard, removed(m.fromTask - n), m.toTask)
-      for (m <- LoadBalancer.collapse(refine) if !rt.shardPaused(m.shard))
+      for (m <- LoadBalancer.collapse(refine) if !rt.isPaused(m.shard))
         startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
-      rt.refreshTaskShares()
     }
 
     /** Periodic intra-executor balance check. */
@@ -670,14 +660,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       if (rt.activeMoves.nonEmpty || rt.tasks.length < 2) return
       if (rt.imbalance <= config.theta) return
       val loads = rt.shardLoads(opRate)
-      val reb = LoadBalancer.rebalance(loads, rt.shardMap.snapshot, rt.tasks.length, config.theta)
+      val reb = LoadBalancer.rebalance(loads, rt.shardMap, rt.tasks.length, config.theta)
       for (m <- LoadBalancer.collapse(reb.moves)) startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
-      rt.refreshTaskShares()
     }
 
     private def startMove(rt: ExecutorRuntime, shard: Int, fromTask: TaskRuntime, toTask: Int): Unit = {
       val interNode = fromTask.node != rt.tasks(toTask).node
-      rt.shardPaused(shard) = true
+      rt.pause(shard)
       rt.activeMoves += new ShardMoveOp(shard, fromTask, toTask, currentSec,
         rt.op.statePerShardBytes, interNode)
     }
@@ -698,8 +687,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
             }
           case ShardMoveOp.Migrating =>
             if (currentSec >= m.migrateEndSec) {
-              rt.shardMap.reassign(m.shard, m.toTaskIndex)
-              rt.shardPaused(m.shard) = false
+              rt.resume(m.shard, m.toTaskIndex)
               val dst = rt.tasks(m.toTaskIndex)
               m.hold.foreach(c => secBackpressured += dst.enqueue(c))
               val bytes = if (m.interNode) m.stateBytes else 0.0
@@ -718,7 +706,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         // Retired tasks whose shards have all left and queues drained free up.
         rt.retiring.filterInPlace(t => !(t.isDrained &&
           rt.activeMoves.forall(_.fromTask ne t)))
-        rt.refreshTaskShares()
       }
     }
   }

@@ -56,32 +56,4 @@ class ShardingSpec extends AnyFunSuite with PropHelpers {
     intercept[IllegalArgumentException](Sharding.executorOf(1L, 0))
     intercept[IllegalArgumentException](Sharding.shardOf(1L, 0))
   }
-
-  test("ShardMap initial round-robin") {
-    val m = new ShardMap(8, 3)
-    assert(m.snapshot == IndexedSeq(0, 1, 2, 0, 1, 2, 0, 1))
-  }
-
-  test("ShardMap reassign updates routing") {
-    val m = new ShardMap(4, 2)
-    m.reassign(3, 0)
-    assert(m.taskOf(3) == 0)
-    assert(m.snapshot == IndexedSeq(0, 1, 0, 0), "only shard 3 moved")
-  }
-
-  test("ShardMap replaceAll installs a full mapping") {
-    val m = new ShardMap(4, 2)
-    m.replaceAll(IndexedSeq(1, 1, 0, 0))
-    assert(m.snapshot == IndexedSeq(1, 1, 0, 0))
-  }
-
-  test("ShardMap replaceAll rejects wrong length") {
-    val m = new ShardMap(4, 2)
-    intercept[IllegalArgumentException](m.replaceAll(IndexedSeq(0, 1)))
-  }
-
-  test("ShardMap rejects bad construction") {
-    intercept[IllegalArgumentException](new ShardMap(0, 1))
-    intercept[IllegalArgumentException](new ShardMap(4, 0))
-  }
 }

@@ -55,29 +55,28 @@ class ProtocolInvariantsSpec extends AnyFunSuite {
   }
 
   test("executor pauses a shard while its move is active") {
-    val rt = new ExecutorRuntime(op, 0, numShards = 4, localNode = 0,
+    val rt = new ExecutorRuntime(op, numShards = 4, localNode = 0,
       initialTaskNodes = IndexedSeq(0, 0))
     rt.setShardWeights(Array.fill(4)(0.25))
-    rt.shardPaused(2) = true
-    rt.refreshTaskShares()
+    rt.pause(2)
     assert(math.abs(rt.taskShare.sum - 0.75) < 1e-9, "paused shard out of routing")
     assert(math.abs(rt.totalShare - 1.0) < 1e-9, "but still arriving (to hold)")
   }
 
   test("state size scales with shards (migration cost accounting)") {
-    val rt = new ExecutorRuntime(op, 0, numShards = 256, localNode = 0,
+    val rt = new ExecutorRuntime(op, numShards = 256, localNode = 0,
       initialTaskNodes = IndexedSeq(0))
     assert(rt.stateBytes == 256.0 * 32 * 1024)
   }
 
   test("coresPerNode reflects task placement (assignment column)") {
-    val rt = new ExecutorRuntime(op, 0, numShards = 4, localNode = 0,
+    val rt = new ExecutorRuntime(op, numShards = 4, localNode = 0,
       initialTaskNodes = IndexedSeq(0, 0, 1, 2))
     assert(rt.coresPerNode(4).toSeq == Seq(2, 1, 1, 0))
   }
 
   test("shardLoads derive from rate, weight and cpu cost") {
-    val rt = new ExecutorRuntime(op, 0, numShards = 2, localNode = 0,
+    val rt = new ExecutorRuntime(op, numShards = 2, localNode = 0,
       initialTaskNodes = IndexedSeq(0))
     rt.setShardWeights(Array(0.75, 0.25))
     val loads = rt.shardLoads(1000.0)

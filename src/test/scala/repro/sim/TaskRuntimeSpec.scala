@@ -128,40 +128,69 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     assert(a.latencyQuantile(0.99) > 0.5)
   }
 
+  private def op = OperatorSpec("op", 1e-3, 128, 128, 1024)
+
   test("ExecutorRuntime computes imbalance from task shares") {
-    val rt = new ExecutorRuntime(
-      OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = 4, localNode = 0,
-      initialTaskNodes = IndexedSeq(0, 0))
+    val rt = new ExecutorRuntime(op, numShards = 4, localNode = 0, initialTaskNodes = IndexedSeq(0, 0))
     rt.setShardWeights(Array(0.7, 0.1, 0.1, 0.1))
     // round-robin map: shards 0,2 -> task0 (0.8), shards 1,3 -> task1 (0.2)
     assert(math.abs(rt.imbalance - 1.6) < 1e-9)
   }
 
   test("ExecutorRuntime remoteShare counts only remote task shares") {
-    val rt = new ExecutorRuntime(
-      OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = 2, localNode = 0,
-      initialTaskNodes = IndexedSeq(0, 1))
+    val rt = new ExecutorRuntime(op, numShards = 2, localNode = 0, initialTaskNodes = IndexedSeq(0, 1))
     rt.setShardWeights(Array(0.5, 0.5))
     assert(math.abs(rt.remoteShare - 0.5) < 1e-9)
   }
 
   test("ExecutorRuntime paused shards leave the routing shares") {
-    val rt = new ExecutorRuntime(
-      OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = 2, localNode = 0,
-      initialTaskNodes = IndexedSeq(0))
+    val rt = new ExecutorRuntime(op, numShards = 2, localNode = 0, initialTaskNodes = IndexedSeq(0))
     rt.setShardWeights(Array(0.6, 0.4))
-    rt.shardPaused(1) = true
-    rt.refreshTaskShares()
+    rt.pause(1)
     assert(math.abs(rt.taskShare(0) - 0.6) < 1e-9)
     assert(math.abs(rt.totalShare - 1.0) < 1e-9, "totalShare still counts paused arrivals")
   }
 
   test("ExecutorRuntime fails loudly on a shard map that points past its tasks") {
-    val rt = new ExecutorRuntime(
-      OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = 4, localNode = 0,
-      initialTaskNodes = IndexedSeq(0, 0))
-    rt.shardMap.reassign(3, 2)
-    intercept[IndexOutOfBoundsException](rt.refreshTaskShares())
+    val rt = new ExecutorRuntime(op, numShards = 4, localNode = 0, initialTaskNodes = IndexedSeq(0, 0))
+    rt.pause(3)
+    intercept[IllegalArgumentException](rt.resume(3, 2))
+    intercept[IllegalArgumentException](rt.resume(3, -1))
+    intercept[IllegalArgumentException](rt.remap(IndexedSeq(1, 0, 1, 2)))
+    assert(rt.shardMap == IndexedSeq(0, 1, 0, 1), "a rejected index leaves the map as it was")
+  }
+
+  test("ExecutorRuntime shard map starts round-robin") {
+    val rt = new ExecutorRuntime(op, numShards = 8, localNode = 0, initialTaskNodes = IndexedSeq(0, 0, 0))
+    assert(rt.shardMap == IndexedSeq(0, 1, 2, 0, 1, 2, 0, 1))
+    assert((0 until 8).map(rt.taskOf) == rt.shardMap)
+  }
+
+  test("ExecutorRuntime resume moves one shard only") {
+    val rt = new ExecutorRuntime(op, numShards = 4, localNode = 0, initialTaskNodes = IndexedSeq(0, 0))
+    rt.pause(3)
+    assert(rt.isPaused(3) && !rt.isPaused(2))
+    rt.resume(3, 0)
+    assert(rt.taskOf(3) == 0 && !rt.isPaused(3))
+    assert(rt.shardMap == IndexedSeq(0, 1, 0, 0), "only shard 3 moved")
+  }
+
+  test("ExecutorRuntime remap installs a full map") {
+    val rt = new ExecutorRuntime(op, numShards = 4, localNode = 0, initialTaskNodes = IndexedSeq(0, 0))
+    rt.remap(IndexedSeq(1, 1, 0, 0))
+    assert(rt.shardMap == IndexedSeq(1, 1, 0, 0))
+  }
+
+  test("ExecutorRuntime remap rejects a wrong length") {
+    val rt = new ExecutorRuntime(op, numShards = 4, localNode = 0, initialTaskNodes = IndexedSeq(0, 0))
+    intercept[IllegalArgumentException](rt.remap(IndexedSeq(0, 1)))
+  }
+
+  test("ExecutorRuntime rejects no shards or no tasks") {
+    intercept[IllegalArgumentException](new ExecutorRuntime(op, 0, 0, IndexedSeq(0)))
+    intercept[IllegalArgumentException](new ExecutorRuntime(op, 4, 0, IndexedSeq.empty))
+    val rt = new ExecutorRuntime(op, numShards = 4, localNode = 0, initialTaskNodes = IndexedSeq(0))
+    intercept[IllegalArgumentException](rt.replaceTasks(Nil))
   }
 
   /** The cached shares recomputed from scratch: `(taskShare, totalShare,
@@ -172,8 +201,7 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     var total = 0.0
     for (s <- 0 until rt.numShards) {
       total += rt.shardWeight(s)
-      val t = rt.shardMap.taskOf(s)
-      if (!rt.shardPaused(s)) share(t) += rt.shardWeight(s)
+      if (!rt.isPaused(s)) share(rt.taskOf(s)) += rt.shardWeight(s)
     }
     var remote = 0.0
     for (t <- rt.tasks.indices if rt.tasks(t).node != rt.localNode) remote += share(t)
@@ -189,33 +217,28 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
       val z = 1 + rng.nextInt(64)
       val nodes = 1 + rng.nextInt(4)
       def taskNodes() = IndexedSeq.fill(1 + rng.nextInt(6))(rng.nextInt(nodes))
-      val rt = new ExecutorRuntime(OperatorSpec("op", 1e-3, 128, 128, 1024), 0, numShards = z,
-        localNode = rng.nextInt(nodes), initialTaskNodes = taskNodes())
-      def newWeights(): Unit = {
-        val offset = rng.nextInt(3) * z
-        rt.setShardWeights(Array.fill(offset + z)(rng.nextDouble()), offset)
-        assertCacheFresh(rt, "a weight refresh")
+      val rt = new ExecutorRuntime(op, numShards = z, localNode = rng.nextInt(nodes),
+        initialTaskNodes = taskNodes())
+      val mutators = IndexedSeq[(String, () => Unit)](
+        "a weight refresh" -> { () =>
+          val offset = rng.nextInt(3) * z
+          rt.setShardWeights(Array.fill(offset + z)(rng.nextDouble()), offset)
+        },
+        "a pause" -> (() => rt.pause(rng.nextInt(z))),
+        "an unpause" -> (() => rt.resume(rng.nextInt(z), rng.nextInt(rt.tasks.length))),
+        "a task-set change" -> (() => rt.replaceTasks(taskNodes().map(new TaskRuntime(_)))),
+        "a remap" -> (() => rt.remap(IndexedSeq.fill(z)(rng.nextInt(rt.tasks.length)))))
+      // One change between two reads, each mutator in turn.
+      for ((what, change) <- mutators) {
+        change()
+        assertCacheFresh(rt, what)
       }
-      newWeights()
-      // Pause some shards (moves start), then unpause them (moves finish).
-      val paused = (0 until z).filter(_ => rng.nextBoolean())
-      paused.foreach(rt.shardPaused(_) = true)
-      rt.refreshTaskShares()
-      assertCacheFresh(rt, "a pause")
-      paused.foreach { s =>
-        rt.shardMap.reassign(s, rng.nextInt(rt.tasks.length))
-        rt.shardPaused(s) = false
+      // Several random changes between two reads, as one control step makes them.
+      for (_ <- 1 to 8) {
+        val picked = Seq.fill(1 + rng.nextInt(6))(mutators(rng.nextInt(mutators.length)))
+        picked.foreach(_._2())
+        assertCacheFresh(rt, picked.map(_._1).mkString(", "))
       }
-      rt.refreshTaskShares()
-      assertCacheFresh(rt, "an unpause")
-      // A new task set and renumbered map, as a scheduler assignment installs.
-      val next = taskNodes()
-      rt.tasks.clear()
-      rt.tasks ++= next.map(new TaskRuntime(_))
-      rt.shardMap.replaceAll(IndexedSeq.fill(z)(rng.nextInt(next.length)))
-      rt.refreshTaskShares()
-      assertCacheFresh(rt, "a task-set change")
-      newWeights()
     }
   }
 
