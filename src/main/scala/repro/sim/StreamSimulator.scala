@@ -58,6 +58,7 @@ final case class SecondMetric(sec: Int,
 /** Everything a bench needs from one run. Post-warmup aggregates plus the
   * full per-second series and per-operation protocol logs.
   *
+  * @param warmupSec           seconds whose rows the post-warm-up totals skip
   * @param deferredAssignments executor updates of applied scheduler
   *                            decisions that were skipped because the
   *                            executor still had shard moves or retiring
@@ -69,10 +70,13 @@ final class SimResult(val perSecond: IndexedSeq[SecondMetric],
                       val schedulerMillis: IndexedSeq[Double],
                       val entryStats: CompletionStats,
                       val allOpsLatencySum: Double,
-                      val totalMigrationBytes: Double,
-                      val totalRemoteBytes: Double,
+                      warmupSec: Double,
                       val measuredSec: Double,
                       val deferredAssignments: Int) {
+  private val measured = perSecond.filter(_.sec > warmupSec)
+  /** Post-warm-up migration and remote bytes: sums of the rows past warm-up. */
+  val totalMigrationBytes: Double = measured.map(_.migrationBytes).sum
+  val totalRemoteBytes: Double = measured.map(_.remoteBytes).sum
   /** Mean post-warmup throughput, tuples/s of the entry operator. */
   def throughput: Double = entryStats.tuples / measuredSec
   /** End-to-end mean latency per Eq. (1): Σ_ops λ_j E[T_j] / λ_0. */
@@ -113,8 +117,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
   private val cumEntry = new CompletionStats
   private var cumAllLatency = 0.0
-  private var cumMigrationBytes = 0.0
-  private var cumRemoteBytes = 0.0
 
   private var currentSec: Double = 0.0
   private var secMigrationBytes = 0.0
@@ -270,8 +272,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         if (nextSecond > config.warmupSec) {
           cumEntry.addFrom(entry)
           cumAllLatency += allLat
-          cumMigrationBytes += secMigrationBytes
-          cumRemoteBytes += secRemoteBytes
         }
         for (j <- ops.indices) secStats(j) = new CompletionStats
         secMigrationBytes = 0; secRemoteBytes = 0; secBackpressured = 0; secOffered = 0
@@ -281,7 +281,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     }
 
     new SimResult(secMetrics.toIndexedSeq, moveLog.toIndexedSeq, repartLog.toIndexedSeq,
-      schedMillis.toIndexedSeq, cumEntry, cumAllLatency, cumMigrationBytes, cumRemoteBytes,
+      schedMillis.toIndexedSeq, cumEntry, cumAllLatency, config.warmupSec,
       math.max(config.durationSec - config.warmupSec, 1e-9), deferred)
   }
 
