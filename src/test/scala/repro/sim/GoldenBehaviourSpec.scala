@@ -1,50 +1,38 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.workload.MicroBenchWorkload
 
 /** Pins the engine's exact output under all four controllers on one small
-  * micro-benchmark run (4 nodes × 8 cores, ω = 16, 20 simulated s). The
-  * engine is deterministic, so a refactor that claims to keep behaviour must
-  * keep these values bit for bit; a change that moves them on purpose
-  * updates them here and says why in EXPERIMENTS.md or CHANGES.md.
+  * micro-benchmark run ([[GoldenRun]]: 4 nodes × 8 cores, ω = 16, 20
+  * simulated s). The engine is deterministic, so a refactor that claims to
+  * keep behaviour must keep these values bit for bit; a change that moves
+  * them on purpose updates them here and says why in EXPERIMENTS.md or
+  * CHANGES.md.
   *
   * The full per-second series of each run is pinned in
   * `golden-per-second.tsv` (one row per controller and second, doubles in
   * their shortest round-trip decimal form, so parsing them back is exact).
   */
 class GoldenBehaviourSpec extends AnyFunSuite {
-
-  private final case class Golden(throughput: Double, meanLatencySec: Double, p99LatencySec: Double,
-                                  migrationBytes: Double, remoteBytes: Double,
-                                  moves: Int, repartitions: Int, schedulerCalls: Int)
-
-  private val cluster = ClusterSpec(numNodes = 4, coresPerNode = 8)
-
-  private def run(paradigm: Paradigm): SimResult = {
-    val cfg = SimConfig(cluster, paradigm, executorsPerOp = 4, shardsPerExecutor = 256,
-      executorsPerOpOverride = Map("sink" -> 2), durationSec = 20.0, warmupSec = 5.0)
-    new StreamSimulator(cfg,
-      new MicroBenchWorkload(cluster.totalCores / 1e-3 * 0.72, 16, zipfSkew = 0.65)).run()
-  }
+  import GoldenBehaviourSpec.Golden
 
   private def golden(r: SimResult): Golden =
     Golden(r.throughput, r.meanLatencySec, r.p99LatencySec, r.totalMigrationBytes, r.totalRemoteBytes,
       r.moves.length, r.repartitions.length, r.schedulerMillis.length)
 
-  private val expected = Seq(
-    "static" -> (Paradigm.Static,
+  private val expected = Map(
+    "static" ->
       Golden(23051.349513464007, 0.008987655654209847, 0.25118864315095824,
-        0.0, 0.0, 0, 0, 0)),
-    "RC" -> (Paradigm.ResourceCentric(),
+        0.0, 0.0, 0, 0, 0),
+    "RC" ->
       Golden(23074.164960384085, 0.07392841844623989, 0.3981071705534969,
-        458752.0, 0.0, 0, 5, 0)),
-    "Elasticutor" -> (Paradigm.ExecutorCentric(),
+        458752.0, 0.0, 0, 5, 0),
+    "Elasticutor" ->
       Golden(23040.000000000196, 0.0021062859521344774, 0.0031622776601683794,
-        3637248.0, 6235809.946974992, 243, 0, 19)),
-    "naive-EC" -> (Paradigm.ExecutorCentric(naive = true),
+        3637248.0, 6235809.946974992, 243, 0, 19),
+    "naive-EC" ->
       Golden(23039.999999999007, 0.0020843263753474828, 0.0012589254117941675,
-        9076736.0, 1.0958206131711E8, 2893, 0, 19)))
+        9076736.0, 1.0958206131711E8, 2893, 0, 19))
 
   /** Pinned per-second series, by controller name. */
   private lazy val expectedPerSecond: Map[String, IndexedSeq[SecondMetric]] = {
@@ -56,10 +44,16 @@ class GoldenBehaviourSpec extends AnyFunSuite {
     finally src.close()
   }
 
-  for ((name, (paradigm, pinned)) <- expected)
+  for ((name, paradigm) <- GoldenRun.controllers)
     test(s"$name reproduces its golden run exactly") {
-      val r = run(paradigm)
-      assert(golden(r) == pinned)
+      val r = GoldenRun.atOneMs(paradigm)
+      assert(golden(r) == expected(name))
       assert(r.perSecond == expectedPerSecond(name))
     }
+}
+
+object GoldenBehaviourSpec {
+  private final case class Golden(throughput: Double, meanLatencySec: Double, p99LatencySec: Double,
+                                  migrationBytes: Double, remoteBytes: Double,
+                                  moves: Int, repartitions: Int, schedulerCalls: Int)
 }

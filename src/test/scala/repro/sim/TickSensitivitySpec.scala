@@ -1,12 +1,11 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.workload.MicroBenchWorkload
 
 /** Bounds the error of the fixed tick (ROADMAP item 4) on the
-  * `GoldenBehaviourSpec` run: halving `tickSec` from 1 ms to 0.5 ms must
-  * leave throughput, migration bytes and remote bytes within 0.1% and every
-  * protocol count equal, under all four controllers.
+  * `GoldenBehaviourSpec` run ([[GoldenRun]]): halving `tickSec` from 1 ms to
+  * 0.5 ms must leave throughput, migration bytes and remote bytes within 0.1%
+  * and every protocol count equal, under all four controllers.
   *
   * Mean latency is deliberately not bounded: it is not tick-invariant (it
   * falls by about 2 ms per 1 ms of tick on this 2-operator path; DESIGN.md
@@ -14,22 +13,12 @@ import repro.workload.MicroBenchWorkload
   */
 class TickSensitivitySpec extends AnyFunSuite {
 
-  private val cluster = ClusterSpec(numNodes = 4, coresPerNode = 8)
-
-  private def run(paradigm: Paradigm, tickSec: Double): SimResult = {
-    val cfg = SimConfig(cluster, paradigm, executorsPerOp = 4, shardsPerExecutor = 256,
-      executorsPerOpOverride = Map("sink" -> 2), tickSec = tickSec, durationSec = 20.0, warmupSec = 5.0)
-    new StreamSimulator(cfg,
-      new MicroBenchWorkload(cluster.totalCores / 1e-3 * 0.72, 16, zipfSkew = 0.65)).run()
-  }
-
   private def relDiff(a: Double, b: Double): Double =
     if (a == b) 0.0 else math.abs(a - b) / math.max(math.abs(a), math.abs(b))
 
-  for ((name, paradigm) <- Seq("static" -> Paradigm.Static, "RC" -> Paradigm.ResourceCentric(),
-         "Elasticutor" -> Paradigm.ExecutorCentric(), "naive-EC" -> Paradigm.ExecutorCentric(naive = true)))
+  for ((name, paradigm) <- GoldenRun.controllers)
     test(s"$name: halving the tick moves throughput and bytes by under 0.1% and no count") {
-      val (coarse, fine) = (run(paradigm, 1e-3), run(paradigm, 0.5e-3))
+      val (coarse, fine) = (GoldenRun.atOneMs(paradigm), GoldenRun.run(paradigm, 0.5e-3))
       for ((metric, f) <- Seq[(String, SimResult => Double)](
              "throughput" -> (_.throughput),
              "migration bytes" -> (_.totalMigrationBytes),

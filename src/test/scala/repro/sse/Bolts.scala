@@ -20,9 +20,7 @@ final class TransactorBolt extends ElasticBolt {
 /** Exponential/windowed moving average of the transaction price per stock. */
 final class MovingAveragePriceBolt(window: Int = 32) extends ElasticBolt {
   require(window > 0, s"window must be positive: $window")
-  final case class Avg(sum: Double, prices: Vector[Long]) {
-    def value: Double = if (prices.isEmpty) 0.0 else sum / prices.length
-  }
+  import MovingAveragePriceBolt.Avg
   override def process(tuple: StreamTuple, state: KeyedState): Seq[StreamTuple] = {
     val tx = tuple.payload.asInstanceOf[Transaction]
     val prev = state.get[Avg](tuple.key).getOrElse(Avg(0.0, Vector.empty))
@@ -33,6 +31,12 @@ final class MovingAveragePriceBolt(window: Int = 32) extends ElasticBolt {
       else withNew
     state.put(tuple.key, next)
     Seq(StreamTuple(tuple.key, next.value))
+  }
+}
+
+object MovingAveragePriceBolt {
+  final case class Avg(sum: Double, prices: Vector[Long]) {
+    def value: Double = if (prices.isEmpty) 0.0 else sum / prices.length
   }
 }
 
@@ -48,7 +52,7 @@ final class VolumeBolt extends ElasticBolt {
 
 /** Volume-weighted average price per stock. */
 final class VwapBolt extends ElasticBolt {
-  final case class Acc(pv: Double, vol: Long) { def vwap: Double = if (vol == 0) 0.0 else pv / vol }
+  import VwapBolt.Acc
   override def process(tuple: StreamTuple, state: KeyedState): Seq[StreamTuple] = {
     val tx = tuple.payload.asInstanceOf[Transaction]
     val a = state.get[Acc](tuple.key).getOrElse(Acc(0.0, 0L))
@@ -56,6 +60,10 @@ final class VwapBolt extends ElasticBolt {
     state.put(tuple.key, next)
     Seq(StreamTuple(tuple.key, next.vwap))
   }
+}
+
+object VwapBolt {
+  final case class Acc(pv: Double, vol: Long) { def vwap: Double = if (vol == 0) 0.0 else pv / vol }
 }
 
 /** Running min/max transaction price per stock. */
@@ -103,7 +111,7 @@ final class PriceAlarmBolt(thresholdTicks: Long) extends ElasticBolt {
 
 /** Event: volume within the current window exceeds `surgeVolume`. */
 final class VolumeSurgeBolt(surgeVolume: Long, windowMs: Long = 1000) extends ElasticBolt {
-  final case class Win(startMs: Long, vol: Long)
+  import VolumeSurgeBolt.Win
   override def process(tuple: StreamTuple, state: KeyedState): Seq[StreamTuple] = {
     val tx = tuple.payload.asInstanceOf[Transaction]
     val w = state.get[Win](tuple.key).filter(w => tx.timeMs - w.startMs < windowMs)
@@ -112,6 +120,10 @@ final class VolumeSurgeBolt(surgeVolume: Long, windowMs: Long = 1000) extends El
     state.put(tuple.key, next)
     if (next.vol > surgeVolume) Seq(StreamTuple(tuple.key, ("VOLUME_SURGE", next.vol))) else Nil
   }
+}
+
+object VolumeSurgeBolt {
+  final case class Win(startMs: Long, vol: Long)
 }
 
 /** Event: price jumped more than `pct` between consecutive transactions. */

@@ -37,7 +37,7 @@ final case class Transaction(timeMs: Long,
   */
 final class OrderBook(val stockId: Long) {
 
-  private final case class Resting(order: Order, var remaining: Long, seq: Long)
+  import OrderBook.Resting
 
   // Max-heap on price then FIFO for bids; min-heap on price then FIFO for asks.
   private val bids = mutable.PriorityQueue.empty[Resting](
@@ -94,4 +94,8 @@ final class OrderBook(val stockId: Long) {
   /** Best bid/ask prices, if present (for spread-style analytics). */
   def bestBid: Option[Long] = bids.headOption.map(_.order.priceTicks)
   def bestAsk: Option[Long] = asks.headOption.map(_.order.priceTicks)
+}
+
+object OrderBook {
+  private final case class Resting(order: Order, var remaining: Long, seq: Long)
 }

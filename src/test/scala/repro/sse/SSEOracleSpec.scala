@@ -88,7 +88,7 @@ class SSEOracleSpec extends SparkSpec {
       .agg((sum(col("price_ticks") * col("shares")) / sum(col("shares"))) as "vwap")
       .collect().map(r => r.getAs[Long]("stock_id") -> r.getAs[Double]("vwap")).toMap
     sqlVwap.foreach { case (stock, expected) =>
-      val got = state.get[VwapBolt#Acc](stock)
+      val got = state.get[VwapBolt.Acc](stock)
       assert(got.isDefined, s"bolt state missing for stock $stock")
       assert(math.abs(got.get.vwap - expected) < 1e-6,
         s"stock $stock: bolt ${got.get.vwap} vs sql $expected")
