@@ -555,15 +555,17 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       out
     }
 
-    /** Provision executors with the real scheduler, installing tasks and
-      * balanced shard maps directly — no protocol, no cost.
+    /** Provision executors with the real scheduler, installing tasks on the
+      * decision's nodes and balanced shard maps directly — no protocol, no
+      * cost. (Every task is still empty, so replacing one with a task on the
+      * same node changes nothing.)
       */
     override def warmStart(rates: Array[Double]): Unit =
       decide(rt => rates(opIdx(rt.op.name)) * rt.totalShare).assignment.foreach { a =>
         for (j <- allExecs.indices) {
           val rt = allExecs(j)
           val nodes = (0 until numNodes).flatMap(i => Seq.fill(a.cores(i)(j))(i))
-          if (nodes.nonEmpty && nodes.length != rt.tasks.length) rt.replaceTasks(nodes.map(new TaskRuntime(_)))
+          if (nodes.nonEmpty) rt.replaceTasks(nodes.map(new TaskRuntime(_)))
           installBalancedMap(rt, rates(opIdx(rt.op.name)))
         }
       }

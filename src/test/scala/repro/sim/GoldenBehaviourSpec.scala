@@ -32,7 +32,7 @@ class GoldenBehaviourSpec extends AnyFunSuite {
         3637248.0, 6235809.946974992, 243, 0, 19),
     "naive-EC" ->
       Golden(23039.999999999007, 0.0020843263753474828, 0.0012589254117941675,
-        9076736.0, 1.0958206131711E8, 2893, 0, 19))
+        9076736.0, 1.0958206131711E8, 2381, 0, 19))
 
   /** Pinned per-second series, by controller name. */
   private lazy val expectedPerSecond: Map[String, IndexedSeq[SecondMetric]] = {
