@@ -273,12 +273,10 @@ final case class RepartitionRecord(timeSec: Double,
 /** Runtime of one elastic executor (or, for the static/RC paradigms, of one
   * whole operator whose "tasks" are the single-core executors).
   *
-  * The executor owns its routing state: the shard weights, the tier-2
-  * shard→task map (§3.1–3.2), the shards paused by in-flight moves and the
-  * task set. Only five mutators write them ([[setShardWeights]], [[remap]],
-  * [[replaceTasks]], [[pause]], [[resume]]); each marks the cached routing
-  * shares stale, and the first read after a change recomputes them, so no
-  * caller can route by stale shares.
+  * It owns its routing state: shard weights, the tier-2 shard→task map
+  * (§3.1–3.2), paused shards and the task set. Five mutators write them and
+  * only mark the cached routing shares stale; the first read after a change
+  * recomputes them, so no caller can route by stale shares.
   *
   * @param op          operator spec
   * @param numShards   tier-2 shard count owned by this runtime (the paper's `z`)
@@ -319,12 +317,9 @@ final class ExecutorRuntime(val op: OperatorSpec,
   def tasks: collection.IndexedSeq[TaskRuntime] = taskSet
 
   def shardWeight(shard: Int): Double = weights(shard)
-
   /** Task currently responsible for `shard`. */
   def taskOf(shard: Int): Int = shardTask(shard)
-
   def isPaused(shard: Int): Boolean = paused(shard)
-
   /** Snapshot of the shard → task map, as the load balancer takes it. */
   def shardMap: IndexedSeq[Int] = shardTask.toIndexedSeq
 
@@ -344,9 +339,7 @@ final class ExecutorRuntime(val op: OperatorSpec,
     stale = true
   }
 
-  /** Replace the task set; the map becomes round-robin over the new tasks
-    * until the caller [[remap]]s it.
-    */
+  /** Replace the task set; the map is round-robin over it until [[remap]]. */
   def replaceTasks(newTasks: IterableOnce[TaskRuntime]): Unit = {
     taskSet.clear()
     taskSet ++= newTasks

@@ -73,10 +73,9 @@ final class SimResult(val perSecond: IndexedSeq[SecondMetric],
                       warmupSec: Double,
                       val measuredSec: Double,
                       val deferredAssignments: Int) {
-  private val measured = perSecond.filter(_.sec > warmupSec)
   /** Post-warm-up migration and remote bytes: sums of the rows past warm-up. */
-  val totalMigrationBytes: Double = measured.map(_.migrationBytes).sum
-  val totalRemoteBytes: Double = measured.map(_.remoteBytes).sum
+  val totalMigrationBytes: Double = perSecond.filter(_.sec > warmupSec).map(_.migrationBytes).sum
+  val totalRemoteBytes: Double = perSecond.filter(_.sec > warmupSec).map(_.remoteBytes).sum
   /** Mean post-warmup throughput, tuples/s of the entry operator. */
   def throughput: Double = entryStats.tuples / measuredSec
   /** End-to-end mean latency per Eq. (1): Σ_ops λ_j E[T_j] / λ_0. */
@@ -389,9 +388,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     /** Periodic control at tick time `now`, given this tick's op input rates. */
     def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = ()
 
-    /** Replace an executor's shard map, round-robin until the clock starts,
-      * with a freshly balanced one, free of protocol cost.
-      */
+    /** Balance an executor's (still round-robin) map before the clock starts, at no protocol cost. */
     protected final def installBalancedMap(rt: ExecutorRuntime, opRate: Double): Unit =
       rt.remap(LoadBalancer.rebalance(rt.shardLoads(opRate), rt.shardMap, rt.tasks.length, config.theta).assignment)
   }
@@ -556,9 +553,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     }
 
     /** Provision executors with the real scheduler, installing tasks on the
-      * decision's nodes and balanced shard maps directly — no protocol, no
-      * cost. (Every task is still empty, so replacing one with a task on the
-      * same node changes nothing.)
+      * decision's nodes (all still empty) and balanced shard maps directly —
+      * no protocol, no cost.
       */
     override def warmStart(rates: Array[Double]): Unit =
       decide(rt => rates(opIdx(rt.op.name)) * rt.totalShare).assignment.foreach { a =>
