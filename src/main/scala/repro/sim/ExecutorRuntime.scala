@@ -360,8 +360,9 @@ final class ExecutorRuntime(val op: OperatorSpec,
     stale = true
   }
 
-  private def checkTask(t: Int): Unit =
-    require(t >= 0 && t < taskSet.length, s"task $t outside ${op.name}'s ${taskSet.length} tasks")
+  private def checkTask(t: Int): Unit = // no by-name message: `remap` checks every shard
+    if (t < 0 || t >= taskSet.length)
+      throw new IllegalArgumentException(s"task $t outside ${op.name}'s ${taskSet.length} tasks")
 
   /** Recompute the cached shares from the weights, pauses, shard map and
     * task set. This is the executor's only O(numShards) step; it runs on the
