@@ -389,8 +389,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = ()
 
     /** Balance an executor's (still round-robin) map before the clock starts, at no protocol cost. */
-    protected final def installBalancedMap(rt: ExecutorRuntime, opRate: Double): Unit =
-      rt.remap(LoadBalancer.rebalance(rt.shardLoads(opRate), rt.shardMap, rt.tasks.length, config.theta).assignment)
+    protected final def installBalancedMap(rt: ExecutorRuntime, opRate: Double): Unit = rt.remap(
+      LoadBalancer.rebalance(rt.shardLoads(opRate), rt.shardMap, rt.tasks.length, config.theta).assignment)
   }
 
   /** Storm default: one runtime per operator whose tasks are its single-core
