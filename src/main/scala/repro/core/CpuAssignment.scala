@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** CPU-to-executor assignment (§4.2, Algorithm 1).
   *
   * Given a per-executor core allocation **k** from the queueing model, map
@@ -21,8 +23,9 @@ package repro.core
   * no executor is over-provisioned and every core a steal could take is
   * already free. If an executor cannot be granted a core the run FAILs and
   * the caller doubles φ and retries. The shrink pass does not depend on φ,
-  * so retries repeat only the grow pass. Cost per decision, n nodes and m
-  * executors: O(n·m + Σ_j |Δk_j|·n).
+  * so retries repeat only the grow pass, on the same copy of X̃: a FAIL
+  * undoes its grants in place. Cost per decision, n nodes and m executors:
+  * one O(n·m) copy of X̃, then O(Σ_j |Δk_j|·n) per attempt.
   */
 object CpuAssignment {
 
@@ -41,24 +44,40 @@ object CpuAssignment {
     def numNodes: Int = cores.length
     def numExecutors: Int = if (cores.isEmpty) 0 else cores.head.length
     /** X_j: total cores of executor j. */
-    def totalOf(j: Int): Int = cores.map(_(j)).sum
+    def totalOf(j: Int): Int = {
+      var total = 0
+      var i = 0
+      while (i < cores.length) { total += cores(i)(j); i += 1 }
+      total
+    }
     /** Cores used on node i. */
-    def usedOn(i: Int): Int = cores(i).sum
+    def usedOn(i: Int): Int = {
+      val row = cores(i)
+      var used = 0
+      var j = 0
+      while (j < row.length) { used += row(j); j += 1 }
+      used
+    }
     /** Transition cost C(X|X̃): Σ_j Σ_i max(0, s_j x̃_ij/X̃_j − s_j x_ij/X_j),
       * i.e. the state bytes each executor moves *out of* each node.
       */
     def migrationCostFrom(prev: Assignment, execs: IndexedSeq[ExecutorInfo]): Double = {
       var cost = 0.0
-      for (j <- 0 until numExecutors) {
+      var j = 0
+      while (j < numExecutors) {
         val oldTotal = prev.totalOf(j)
         val newTotal = totalOf(j)
         if (oldTotal > 0 && newTotal > 0) {
-          for (i <- 0 until numNodes) {
-            val before = execs(j).stateBytes * prev.cores(i)(j) / oldTotal
-            val after = execs(j).stateBytes * cores(i)(j) / newTotal
+          val s = execs(j).stateBytes
+          var i = 0
+          while (i < numNodes) {
+            val before = s * prev.cores(i)(j) / oldTotal
+            val after = s * cores(i)(j) / newTotal
             cost += math.max(0.0, before - after)
+            i += 1
           }
         }
+        j += 1
       }
       cost
     }
@@ -139,13 +158,15 @@ object CpuAssignment {
   }
 
   /** Run the shrink pass, which does not depend on φ, and return the grow
-    * pass as a function of φ; each grow works on a copy of the shrunk X̃.
-    * Both passes break ties towards the lowest node.
+    * pass as a function of φ. Both passes work on one copy of X̃: a grow
+    * that FAILs undoes its grants, so the next one starts again from the
+    * shrunk X̃; a grow that succeeds hands the copy out, and growing again
+    * after that throws. Both passes break ties towards the lowest node.
     */
-  private def shrinkThenGrow(target: IndexedSeq[Int],
-                             prev: Assignment,
-                             nodeCapacity: IndexedSeq[Int],
-                             execs: IndexedSeq[ExecutorInfo]): Double => Result = {
+  private[core] def shrinkThenGrow(target: IndexedSeq[Int],
+                                   prev: Assignment,
+                                   nodeCapacity: IndexedSeq[Int],
+                                   execs: IndexedSeq[ExecutorInfo]): Double => Result = {
     val n = nodeCapacity.length
     val m = execs.length
     require(target.length == m, s"target ${target.length} != executors $m")
@@ -160,19 +181,25 @@ object CpuAssignment {
 
     // While loops throughout: the in-sim scheduler runs mostly before the
     // JIT has compiled it, where closures and boxing cost the most.
-    val x = Array.ofDim[Int](n, m)
+    val x = new Array[Array[Int]](n)
     val xTot = new Array[Int](m)
     val usedOn = new Array[Int](n)
     var i = 0
     while (i < n) {
-      val row = prev.cores(i)
+      val src = prev.cores(i)
+      require(src.length == m, s"prev row $i has ${src.length} entries, expected $m")
+      val row = new Array[Int](m)
+      src.copyToArray(row)
+      var used = 0
       var j = 0
       while (j < m) {
-        x(i)(j) = row(j)
-        xTot(j) += row(j)
-        usedOn(i) += row(j)
+        val c = row(j)
+        xTot(j) += c
+        used += c
         j += 1
       }
+      usedOn(i) = used
+      x(i) = row
       i += 1
     }
 
@@ -197,40 +224,96 @@ object CpuAssignment {
       }
       j += 1
     }
-    val under = (0 until m).filter(j => xTot(j) < target(j))
-      .sortBy(j => -execs(j).dataIntensity).toArray
+    val below = new Array[Int](m)
+    var numUnder = 0
+    var need = 0L
+    j = 0
+    while (j < m) {
+      if (xTot(j) < target(j)) { below(numUnder) = j; numUnder += 1; need += target(j) - xTot(j) }
+      j += 1
+    }
+    val under = byDescendingIntensity(below.take(numUnder), execs)
     val cap = nodeCapacity.toArray
+    // One grow grants at most the missing cores, and at most the free ones:
+    // a grant needs a node below capacity and fills one of its cores.
+    var free = 0L
+    i = 0
+    while (i < n) { free += math.max(0, cap(i) - usedOn(i)); i += 1 }
+    val grants = new Array[Long](math.min(need, free).toInt) // (node << 32) | executor
+    var handedOut = false
 
     def grow(phi: Double): Result = {
-      val xg = x.map(_.clone)
-      val xTotG = xTot.clone
-      val usedOnG = usedOn.clone
+      if (handedOut) throw new IllegalStateException("grow after Success: its assignment shares this copy of X̃")
+      var granted = 0
       var u = 0
       while (u < under.length) {
         val j = under(u)
         val e = execs(j)
-        val (lo, hi) = if (e.dataIntensity > phi) (e.localNode, e.localNode) else (0, n - 1)
-        while (xTotG(j) < target(j)) {
+        val localOnly = e.dataIntensity > phi
+        val lo = if (localOnly) e.localNode else 0
+        val hi = if (localOnly) e.localNode else n - 1
+        while (xTot(j) < target(j)) {
           var best = -1
           var bestCost = Double.PositiveInfinity
           var i = lo
           while (i <= hi) {
-            if (usedOnG(i) < cap(i)) {
-              val c = cPlus(e.stateBytes, xTotG(j), xg(i)(j))
+            if (usedOn(i) < cap(i)) {
+              val c = cPlus(e.stateBytes, xTot(j), x(i)(j))
               if (c < bestCost) { bestCost = c; best = i }
             }
             i += 1
           }
-          if (best < 0) return Fail
-          xg(best)(j) += 1
-          xTotG(j) += 1
-          usedOnG(best) += 1
+          if (best < 0) {
+            // Undo this attempt's grants: the next φ starts from the shrunk X̃.
+            while (granted > 0) {
+              granted -= 1
+              val bi = (grants(granted) >>> 32).toInt
+              val bj = grants(granted).toInt
+              x(bi)(bj) -= 1
+              xTot(bj) -= 1
+              usedOn(bi) -= 1
+            }
+            return Fail
+          }
+          x(best)(j) += 1
+          xTot(j) += 1
+          usedOn(best) += 1
+          grants(granted) = best.toLong << 32 | j
+          granted += 1
         }
         u += 1
       }
-      Success(Assignment(xg.map(_.toIndexedSeq).toIndexedSeq))
+      handedOut = true
+      val rows = new Array[IndexedSeq[Int]](n)
+      var i = 0
+      while (i < n) { rows(i) = ArraySeq.unsafeWrapArray(x(i)); i += 1 }
+      Success(Assignment(ArraySeq.unsafeWrapArray(rows)))
     }
     grow
+  }
+
+  /** `js`, ascending, reordered by descending data intensity with ties by
+    * index: a stable `sortBy(j => -dataIntensity(j))` done as primitive
+    * sorts. `Arrays` orders doubles as `Double.compare` does, as the default
+    * `Ordering[Double]` does. Each key is ranked among the sorted keys, and
+    * (rank, j) pairs packed into longs are sorted.
+    */
+  private def byDescendingIntensity(js: Array[Int], execs: IndexedSeq[ExecutorInfo]): Array[Int] = {
+    val keys = new Array[Double](js.length)
+    var u = 0
+    while (u < js.length) { keys(u) = -execs(js(u)).dataIntensity; u += 1 }
+    val sorted = keys.clone()
+    java.util.Arrays.sort(sorted)
+    val packed = new Array[Long](js.length)
+    u = 0
+    while (u < js.length) {
+      packed(u) = java.util.Arrays.binarySearch(sorted, keys(u)).toLong << 32 | js(u)
+      u += 1
+    }
+    java.util.Arrays.sort(packed)
+    u = 0
+    while (u < js.length) { js(u) = packed(u).toInt; u += 1 }
+    js
   }
 
   /** The naive-EC assignment (§5.4): same allocation vector **k**, but the

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.core.CpuAssignment.{Assignment, ExecutorInfo}
 import repro.core.QueueingModel.ExecutorLoad
+import scala.collection.immutable.ArraySeq
 
 /** The global dynamic scheduler (§4): model-based core allocation followed
   * by CPU-to-executor assignment. This is the *real* algorithm the paper
@@ -67,20 +68,44 @@ object DynamicScheduler {
     val alloc = QueueingModel.allocateCores(loads, latencyTarget, totalCores)
     // Clip to capacity when the minimum-stability demand exceeds the
     // cluster: shed proportionally so the assignment step stays feasible.
-    val demand = alloc.cores.sum
+    val k = alloc.cores
+    val demand = k.sum
     val target =
-      if (demand <= totalCores) alloc.cores
+      if (demand <= totalCores) k
       else {
-        val scaled = alloc.cores.map(k => math.max(1, (k.toLong * totalCores / demand).toInt))
+        val out = new Array[Int](k.length)
+        var left = totalCores
+        var j = 0
+        while (j < out.length) {
+          out(j) = math.max(1, (k(j).toLong * totalCores / demand).toInt)
+          left -= out(j)
+          j += 1
+        }
         // Rounding can leave headroom; hand leftovers to the largest asks.
-        var left = totalCores - scaled.sum
-        val order = alloc.cores.indices.sortBy(j => -(alloc.cores(j) - scaled(j)))
-        val out = scaled.toArray
-        var idx = 0
-        while (left > 0 && idx < order.length) { out(order(idx)) += 1; left -= 1; idx += 1 }
-        out.toIndexedSeq
+        if (left > 0) {
+          val order = leftoverOrder(k, out)
+          var idx = 0
+          while (left > 0 && idx < order.length) { out(order(idx)) += 1; left -= 1; idx += 1 }
+        }
+        ArraySeq.unsafeWrapArray(out)
       }
     val (assignment, phiUsed) = assigner(target)
     Decision(alloc, assignment, phiUsed, System.nanoTime() - t0)
+  }
+
+  /** Executors in descending order of the cores the clip took from them,
+    * k_j − scaled_j, ties by index: the order of a stable
+    * `indices.sortBy(j => -(k(j) - scaled(j)))`, as one primitive sort of
+    * (scaled_j − k_j, j) packed into longs.
+    */
+  private[core] def leftoverOrder(k: IndexedSeq[Int], scaled: Array[Int]): Array[Int] = {
+    val packed = new Array[Long](scaled.length)
+    var j = 0
+    while (j < packed.length) { packed(j) = (scaled(j) - k(j)).toLong << 32 | j; j += 1 }
+    java.util.Arrays.sort(packed)
+    val order = new Array[Int](packed.length)
+    j = 0
+    while (j < order.length) { order(j) = packed(j).toInt; j += 1 }
+    order
   }
 }

@@ -97,7 +97,7 @@ object QueueingModel {
     require(totalCores >= 1, s"totalCores must be >= 1: $totalCores")
     val lambda0 = math.max(loads.map(_.lambda).max, 1e-9)
     val k = loads.map(_.minCores).toArray
-    def total: Int = k.sum
+    var total = k.sum
     // Infeasible even at the stability minimum: hand back the minima as they
     // are, summing above `totalCores`; clipping them to the cluster is the
     // caller's job ([[DynamicScheduler]]). The paper's scheduler would be
@@ -122,6 +122,7 @@ object QueueingModel {
         return Allocation(k.toIndexedSeq, latency, feasible = latency <= latencyTarget)
       }
       k(bestJ) += 1
+      total += 1
       latency -= bestDrop
     }
     Allocation(k.toIndexedSeq, latency, feasible = latency <= latencyTarget)

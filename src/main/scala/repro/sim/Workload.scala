@@ -118,15 +118,21 @@ final class KeyFrequencies(val numKeys: Int, zipfSkew: Double, seed: Long) {
     renormalize()
   }
 
+  // Key → global shard per (numExecutors, shardsPerExecutor) asked for: the
+  // hash partition never changes, only the frequencies do.
+  private val shardOfKey = scala.collection.mutable.HashMap.empty[(Int, Int), Array[Int]]
+
   /** Aggregate key frequencies into global-shard weights under the two-tier
-    * hash partitioning (key → executor → shard).
+    * hash partitioning (key → executor → shard). Each call returns a fresh
+    * array.
     */
   def shardWeights(numExecutors: Int, shardsPerExecutor: Int): Array[Double] = {
+    val shard = shardOfKey.getOrElseUpdate((numExecutors, shardsPerExecutor),
+      Array.tabulate(numKeys)(k => Sharding.globalShardOf(k.toLong, numExecutors, shardsPerExecutor)))
     val w = new Array[Double](numExecutors * shardsPerExecutor)
     var k = 0
     while (k < numKeys) {
-      val g = Sharding.globalShardOf(k.toLong, numExecutors, shardsPerExecutor)
-      w(g) += freq(k)
+      w(shard(k)) += freq(k)
       k += 1
     }
     w

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropHelpers
 import repro.core.CpuAssignment._
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
@@ -209,5 +210,110 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
     // The generator reaches both outcomes and both kinds of overload.
     assert(Seq(successes, fails, overSubscribed, overCapacity).forall(_ > 100),
       s"success $successes fail $fails oversubscribed $overSubscribed over capacity $overCapacity")
+  }
+
+  test("a row of X̃ with the wrong length is rejected") {
+    val ex = infos(2, _ => 0)
+    for (rows <- Seq(IndexedSeq(IndexedSeq(1, 0), IndexedSeq(1)), IndexedSeq(IndexedSeq(1, 0), IndexedSeq(1, 0, 1))))
+      intercept[IllegalArgumentException](assign(IndexedSeq(1, 1), Assignment(rows), IndexedSeq(4, 4), ex))
+  }
+
+  test("growing again after a Success throws") {
+    val ex = infos(2, j => j)
+    val grow = shrinkThenGrow(IndexedSeq(3, 1), Assignment.oneCoreLocal(ex, 2, 4), IndexedSeq(4, 4), ex)
+    val Success(a) = grow(Double.MaxValue)
+    intercept[IllegalStateException](grow(Double.MaxValue))
+    assert(a.totalOf(0) == 3 && a.totalOf(1) == 1)
+  }
+
+  private def arrays(a: Assignment): Seq[Array[Int]] =
+    a.cores.collect { case r: ArraySeq.ofInt => r.unsafeArray }
+
+  test("assign leaves prev as it was, shares no array with it, and equals a fresh run at its phi") {
+    var chained, retried = 0
+    forSeeds(500) { rng =>
+      val (target, prev, cap, execs) = randomInput(rng)
+      val (first, phi) = assign(target, prev, cap, execs)
+      if (phi > Phi0) retried += 1
+      first.foreach(a => assert(assignOnce(target, prev, cap, execs, phi) == Success(a)))
+      // The simulator installs a decision and hands it back as the next X̃.
+      for (a <- first) {
+        val before = a.cores.map(_.toVector)
+        val next = target.map(t => math.max(0, t + rng.nextInt(5) - 2))
+        val (second, _) = assign(next, a, cap, execs)
+        assert(a.cores == before)
+        for (b <- second; row <- arrays(b)) assert(!arrays(a).exists(_ eq row))
+        chained += 1
+      }
+    }
+    assert(chained > 100 && retried > 100, s"chained $chained retried $retried")
+  }
+
+  /** A random input at the replay's scale: `n` nodes of 8 cores (16 when
+    * more than 6 executors share a node) and `m` executors placed
+    * round-robin, each holding its local core plus extra cores scattered
+    * until 80–95% of the cluster is used. A tenth of the executors are data-
+    * intensive (φ₀–64 φ₀) and some of those ask for up to 7 more cores, so
+    * most inputs FAIL at φ₀ and retry; the other targets move by −2..+2,
+    * and all of them are trimmed to fit the cluster.
+    */
+  private def largeInput(rng: Random, n: Int, m: Int)
+      : (IndexedSeq[Int], Assignment, IndexedSeq[Int], IndexedSeq[ExecutorInfo]) = {
+    val perNode = if (m > 6 * n) 16 else 8
+    val execs = IndexedSeq.tabulate(m) { j =>
+      val intensive = rng.nextInt(10) == 0
+      ExecutorInfo(j % n, (1 + rng.nextInt(4)) * 8 * MB,
+        Phi0 * (if (intensive) 1 + 63 * rng.nextDouble() else rng.nextDouble()))
+    }
+    val x = Array.fill(n, m)(0)
+    val used = Array.fill(n)(0)
+    for (j <- 0 until m) { x(j % n)(j) = 1; used(j % n) += 1 }
+    var placed = m
+    val fill = (n * perNode * (0.8 + 0.15 * rng.nextDouble())).toInt
+    while (placed < fill) {
+      val i = rng.nextInt(n)
+      if (used(i) < perNode) { x(i)(rng.nextInt(m)) += 1; used(i) += 1; placed += 1 }
+    }
+    val target = Array.tabulate(m) { j =>
+      val grow = if (execs(j).dataIntensity > Phi0 && rng.nextBoolean()) rng.nextInt(8) else 0
+      math.max(1, (0 until n).map(x(_)(j)).sum + rng.nextInt(5) - 2 + grow)
+    }
+    // Trim the targets to the cluster so most inputs are feasible.
+    while (target.sum > n * perNode) {
+      val j = rng.nextInt(m)
+      if (target(j) > 1) target(j) -= 1
+    }
+    (target.toIndexedSeq, Assignment(x.map(_.toIndexedSeq).toIndexedSeq), IndexedSeq.fill(n)(perNode), execs)
+  }
+
+  test("assign matches the reference on large inputs with phi retries") {
+    var retried, succeeded = 0
+    forSeeds(20, seed = 4321L) { rng =>
+      val (target, prev, cap, execs) = largeInput(rng, 64 + rng.nextInt(65), 300 + rng.nextInt(309))
+      val (res, phi) = assign(target, prev, cap, execs)
+      assert((res, phi) == CpuAssignmentReference.assign(target, prev, cap, execs))
+      if (phi > Phi0) retried += 1
+      if (res.isDefined) succeeded += 1
+    }
+    assert(retried >= 10 && succeeded >= 10, s"of 20 inputs $retried retried phi and $succeeded succeeded")
+  }
+
+  test("assign allocates less than two copies of X̃ on 128 nodes × 608 executors") {
+    val bean = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val (n, m) = (128, 608)
+    // The first seed whose input succeeds after at least one phi retry.
+    val (target, prev, cap, execs) = (1 to 100).iterator.map(s => largeInput(new Random(s), n, m)).find {
+      case (t, p, c, e) => val (res, phi) = assign(t, p, c, e); res.isDefined && phi > Phi0
+    }.get
+    for (_ <- 0 until 200) assign(target, prev, cap, execs)
+    val tid = Thread.currentThread.getId
+    val bytes = (0 until 5).map { _ =>
+      val before = bean.getThreadAllocatedBytes(tid)
+      assign(target, prev, cap, execs)
+      bean.getThreadAllocatedBytes(tid) - before
+    }
+    info(s"bytes allocated per call: ${bytes.mkString(", ")}")
+    assert(bytes.max < 2L * n * m * 4, s"allocated $bytes bytes")
   }
 }

@@ -1,10 +1,11 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropHelpers
 import repro.core.CpuAssignment.{Assignment, ExecutorInfo}
 import repro.core.QueueingModel.ExecutorLoad
 
-class DynamicSchedulerSpec extends AnyFunSuite {
+class DynamicSchedulerSpec extends AnyFunSuite with PropHelpers {
 
   private val MB = 1024.0 * 1024
 
@@ -87,5 +88,16 @@ class DynamicSchedulerSpec extends AnyFunSuite {
     val prev = Assignment(IndexedSeq(IndexedSeq.empty[Int]))
     intercept[IllegalArgumentException](
       DynamicScheduler.schedule(loads, execs, prev, IndexedSeq(4), 0.05))
+  }
+
+  test("the clip's leftover order is a stable sortBy on the cores it took") {
+    forSeeds(1000) { rng =>
+      val m = 1 + rng.nextInt(40)
+      // Small values give many ties; large ones exercise the packed sign.
+      val range = if (rng.nextBoolean()) 6 else 1 << 30
+      val k = IndexedSeq.fill(m)(rng.nextInt(range))
+      val scaled = Array.fill(m)(rng.nextInt(range))
+      assert(DynamicScheduler.leftoverOrder(k, scaled).toSeq == k.indices.sortBy(j => -(k(j) - scaled(j))))
+    }
   }
 }

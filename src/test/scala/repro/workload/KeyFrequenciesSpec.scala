@@ -52,6 +52,30 @@ class KeyFrequenciesSpec extends AnyFunSuite {
     assert(math.abs(w.sum - 1.0) < 1e-9)
   }
 
+  test("shardWeights equals the key-by-key aggregation bit for bit") {
+    val f = new KeyFrequencies(2000, 0.8, seed = 7)
+    val rng = new scala.util.Random(7)
+    def bits(w: Array[Double]) = w.toSeq.map(java.lang.Double.doubleToLongBits)
+    def uncached(y: Int, z: Int): Array[Double] = {
+      val w = new Array[Double](y * z)
+      for (k <- 0 until f.numKeys) w(repro.core.Sharding.globalShardOf(k.toLong, y, z)) += f.freq(k)
+      w
+    }
+    val pairs = IndexedSeq((38, 64), (16, 64), (4, 8), (1, 512))
+    for (_ <- 0 until 60) {
+      rng.nextInt(4) match {
+        case 0 => f.shuffle()
+        case 1 => f.newRegime(hotFraction = 0.05, hotFactor = 10.0)
+        case _ =>
+      }
+      val (y, z) = pairs(rng.nextInt(pairs.length))
+      val w = f.shardWeights(y, z)
+      assert(bits(w) == bits(uncached(y, z)))
+      java.util.Arrays.fill(w, 1.0)
+      assert(bits(f.shardWeights(y, z)) == bits(uncached(y, z)), "a caller's writes leak into the next call")
+    }
+  }
+
   test("more shards improve achievable balance granularity (§3.1 trade-off)") {
     // Few hot keys: with coarse sharding, hot keys lump into the same shard
     // and no assignment can balance 4 tasks; finer sharding separates them.
