@@ -39,6 +39,11 @@ final case class SimConfig(cluster: ClusterSpec,
                            warmupSec: Double = 5.0) {
   require(tickSec > 0 && durationSec > tickSec, "bad tick/duration")
   require(warmupSec >= 0 && warmupSec < durationSec, "warmup must fit in duration")
+  // The engine closes a per-second row only at whole seconds, and the totals
+  // divide by duration − warm-up: a partial second would be simulated but
+  // never counted.
+  require(durationSec.isWhole, s"durationSec must be a whole number of seconds: $durationSec")
+  require(warmupSec.isWhole, s"warmupSec must be a whole number of seconds: $warmupSec")
   def executorsOf(op: String): Int = executorsPerOpOverride.getOrElse(op, executorsPerOp)
   /** Model constants: latency target T_max, θ and φ₀ (§3–4). */
   def latencyTargetSec: Double = 0.05

@@ -189,6 +189,17 @@ class SimulatorSpec extends AnyFunSuite {
     assert(r.perSecond.map(_.sec) == (1 to 12))
   }
 
+  test("durations and warm-ups that are not whole seconds are rejected") {
+    val static = cfg(Paradigm.Static, duration = 12)
+    val e1 = intercept[IllegalArgumentException](static.copy(durationSec = 12.5))
+    assert(e1.getMessage.contains("12.5"))
+    val e2 = intercept[IllegalArgumentException](static.copy(warmupSec = 5.5))
+    assert(e2.getMessage.contains("5.5"))
+    val r = new StreamSimulator(static.copy(cluster = ClusterSpec(numNodes = 2, coresPerNode = 4)),
+      micro(4000, 0)).run()
+    assert(math.abs(r.throughput - 4000) < 1e-6, s"throughput ${r.throughput}")
+  }
+
   test("post-warmup aggregates equal the per-second rows past warm-up") {
     val c = cfg(ec)
     val r = new StreamSimulator(c, new MicroBenchWorkload(6000, 4, zipfSkew = 1.0)).run()
