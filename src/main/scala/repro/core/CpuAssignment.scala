@@ -293,10 +293,10 @@ object CpuAssignment {
   }
 
   /** `js`, ascending, reordered by descending data intensity with ties by
-    * index: a stable `sortBy(j => -dataIntensity(j))` done as primitive
-    * sorts. `Arrays` orders doubles as `Double.compare` does, as the default
-    * `Ordering[Double]` does. Each key is ranked among the sorted keys, and
-    * (rank, j) pairs packed into longs are sorted.
+    * index, in place: the order of a stable `sortBy(j => -dataIntensity(j))`
+    * without boxing. Each key is ranked among the sorted keys, and the
+    * (rank, j) pairs, packed into longs, are sorted. `Arrays` sorts and
+    * searches doubles in `Double.compare`'s order, which is `sortBy`'s.
     */
   private def byDescendingIntensity(js: Array[Int], execs: IndexedSeq[ExecutorInfo]): Array[Int] = {
     val keys = new Array[Double](js.length)
