@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Pins the engine's exact output under all four controllers on one small
   * micro-benchmark run ([[GoldenRun]]: 4 nodes × 8 cores, ω = 16, 20
-  * simulated s). The engine is deterministic, so a refactor that claims to
+  * simulated s), and under Elasticutor on one SSE run whose nodes hold more
+  * tasks than cores ([[GoldenRun.sseOversubscribed]]). The engine is deterministic, so a refactor that claims to
   * keep behaviour must keep these values bit for bit; a change that moves
   * them on purpose updates them here and says why in EXPERIMENTS.md or
   * CHANGES.md.
@@ -50,6 +51,14 @@ class GoldenBehaviourSpec extends AnyFunSuite {
       assert(golden(r) == expected(name))
       assert(r.perSecond == expectedPerSecond(name))
     }
+
+  test("Elasticutor on SSE at load 1.15 (8 nodes, oversubscribed nodes) reproduces its golden run exactly") {
+    val r = GoldenRun.sseOversubscribed()
+    assert(golden(r) == Golden(51957.68804357506, 3.3197850234090405, 5.011872336272725,
+      1310720.0, 6.357970841909328E7, 79, 0, 29))
+    assert(r.deferredAssignments == 3)
+    assert(r.perSecond == expectedPerSecond("SSE-Elasticutor"))
+  }
 }
 
 object GoldenBehaviourSpec {

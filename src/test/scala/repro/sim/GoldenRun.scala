@@ -1,6 +1,8 @@
 package repro.sim
 
 import scala.collection.mutable
+import repro.experiments.Experiments
+import repro.sse.SSEWorkload
 import repro.workload.MicroBenchWorkload
 
 /** The small micro-benchmark run that `GoldenBehaviourSpec` pins and
@@ -22,6 +24,20 @@ object GoldenRun {
       executorsPerOpOverride = Map("sink" -> 2), tickSec = tickSec, durationSec = 20.0, warmupSec = 5.0)
     new StreamSimulator(cfg,
       new MicroBenchWorkload(cluster.totalCores / 1e-3 * 0.72, 16, zipfSkew = 0.65)).run()
+  }
+
+  /** Table 3's 8-node run: Elasticutor on SSE at load 1.15, 30 simulated s.
+    * After its scheduler decisions some node holds more tasks than cores for
+    * about a third of the ticks, and more busy tasks than cores for
+    * thousands of them, so it pins the engine's tick on an oversubscribed
+    * node, where busy tasks share their node's cores.
+    */
+  def sseOversubscribed(): SimResult = {
+    val cluster = Experiments.paperCluster(8)
+    val cfg = SimConfig(cluster, Paradigm.ExecutorCentric(), executorsPerOp = 2, shardsPerExecutor = 64,
+      executorsPerOpOverride = Map("transactor" -> 16), durationSec = 30.0, warmupSec = 5.0)
+    new StreamSimulator(cfg,
+      new SSEWorkload(offeredRate = cluster.totalCores / Experiments.ssePipelineCostSec * 1.15)).run()
   }
 
   private val oneMs = mutable.Map.empty[Paradigm, SimResult]
