@@ -209,6 +209,41 @@ final class TaskRuntime(val node: Int) {
     completed
   }
 
+  /** Tuples the last [[enqueueAndDrain]] refused. */
+  var lastRefused: Double = 0.0
+
+  /** One tick of the task: [[enqueue]] a cohort, then [[drain]] up to
+    * `capacitySec`. Returns the completed tuples and leaves the refused ones
+    * in [[lastRefused]].
+    *
+    * A cohort that lands on an empty queue, is admitted whole and fits the
+    * tick completes without entering the ring: the same floating-point
+    * operations as `enqueue` then `drain`, in the same order, so the results
+    * are bit-identical. This step is small enough to inline; every other case
+    * takes [[enqueueThenDrain]].
+    */
+  def enqueueAndDrain(arrivalSec: Double, work: Double, tuples: Double,
+                      capacitySec: Double, nowSec: Double, stats: CompletionStats): Double =
+    if (size == 0 && work > 0 && work <= TaskRuntime.MaxQueueSec - queuedWork &&
+        work <= capacitySec && capacitySec > 1e-12) {
+      lastRefused = 0.0
+      queuedWork += work
+      queuedTuples += tuples
+      stats.record(tuples, math.max(0.0, nowSec - arrivalSec))
+      queuedWork -= work
+      queuedTuples -= tuples
+      drainedWork += work
+      if (queuedWork < 0) queuedWork = 0
+      if (queuedTuples < 0) queuedTuples = 0
+      tuples
+    } else enqueueThenDrain(arrivalSec, work, tuples, capacitySec, nowSec, stats)
+
+  private def enqueueThenDrain(arrivalSec: Double, work: Double, tuples: Double,
+                               capacitySec: Double, nowSec: Double, stats: CompletionStats): Double = {
+    lastRefused = enqueue(arrivalSec, work, tuples)
+    drain(capacitySec, nowSec, stats)
+  }
+
   def isDrained: Boolean = queuedWork <= 1e-9
 }
 

@@ -129,8 +129,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
   private var secOffered = 0.0
   private var deferred = 0
 
-  /** Busy tasks per node in the current tick. */
+  /** Busy tasks per node in a two-pass tick; all zero otherwise. */
   private val busyOnNode = new Array[Int](numNodes)
+  /** Whether some node holds more tasks, active and retiring, than cores.
+    * Only then can a task get less than a whole tick of its core; recounted
+    * wherever task sets change ([[recountTasks]]).
+    */
+  private var oversubscribed = false
 
   // ---- executor layout -----------------------------------------------------
 
@@ -184,6 +189,12 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     * O(operators + tasks + active moves): executors route by their cached
     * shares, and shard-sized work happens only when weights, pauses or task
     * sets change.
+    *
+    * While no node holds more tasks than cores, every task drains a whole
+    * tick, so each executor's tasks are routed and drained in one pass. A
+    * tick with an oversubscribed node makes two: all arrivals, then the busy
+    * tasks per node are counted and each drains its share of its node's
+    * cores.
     */
   def run(): SimResult = {
     val dt = config.tickSec
@@ -195,6 +206,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
     refreshWeights()
     controller.warmStart(steadyRates(0.0))
+    recountTasks()
 
     var step = 0
     while (step < steps) {
@@ -213,47 +225,31 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         j += 1
       }
       secOffered += rates(entryOp) * dt
-
-      // Arrivals.
-      j = 0
-      while (j < ops.length) {
-        controller.pausedHold(j) match {
-          case Some(hold) =>
-            // Operator paused: everything destined for it buffers.
-            appendHold(hold, now, rates(j) * dt * ops(j).cpuSecPerTuple, rates(j) * dt)
-          case None =>
-            val perOp = execs(j)
-            var e = 0
-            while (e < perOp.length) {
-              arrive(perOp(e), rates(j), now, dt)
-              e += 1
-            }
-        }
-        j += 1
-      }
-
-      // Service. A node can only supply coresPerNode core-ticks: when task
-      // churn transiently oversubscribes a node (retiring tasks still
-      // draining), every busy task on it gets a proportional share.
-      val endOfTick = now + dt
       java.util.Arrays.fill(internalRate, 0.0)
-      java.util.Arrays.fill(busyOnNode, 0)
-      var x = 0
-      while (x < allExecs.length) {
-        countBusy(allExecs(x).tasks)
-        countBusy(allExecs(x).retiring)
-        x += 1
+
+      // Arrivals and service. A node can only supply coresPerNode core-ticks:
+      // when task churn oversubscribes a node (retiring tasks still
+      // draining), every busy task on it gets a proportional share, and
+      // counting the busy tasks needs every arrival routed first.
+      val endOfTick = now + dt
+      if (oversubscribed) {
+        j = 0
+        while (j < ops.length) {
+          arriveOp(j, rates(j), now, dt, secStats(j), fused = false)
+          j += 1
+        }
+        var x = 0
+        while (x < allExecs.length) {
+          countBusy(allExecs(x).tasks)
+          countBusy(allExecs(x).retiring)
+          x += 1
+        }
       }
       j = 0
       while (j < ops.length) {
-        val perOp = execs(j)
-        var completed = 0.0
-        var e = 0
-        while (e < perOp.length) {
-          completed = serve(perOp(e).tasks, completed, dt, endOfTick, secStats(j))
-          completed = serve(perOp(e).retiring, completed, dt, endOfTick, secStats(j))
-          e += 1
-        }
+        val completed =
+          if (oversubscribed) serveOp(j, dt, endOfTick, secStats(j))
+          else arriveOp(j, rates(j), now, dt, secStats(j), fused = true)
         val down = downIdx(j)
         var d = 0
         while (d < down.length) {
@@ -262,6 +258,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         }
         j += 1
       }
+      if (oversubscribed) java.util.Arrays.fill(busyOnNode, 0)
 
       controller.advanceProtocols()
       controller.control(now, shuffled, rates)
@@ -289,12 +286,40 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       math.max(config.durationSec - config.warmupSec, 1e-9), deferred)
   }
 
+  /** Route one tick of op `j`'s input at rate `opRate`, into its hold buffer
+    * while the paradigm pauses it. With `fused`, also drain every task of the
+    * op for the whole tick and return the completed tuples; `stats` records
+    * their latencies.
+    */
+  private def arriveOp(j: Int, opRate: Double, now: Double, dt: Double,
+                       stats: CompletionStats, fused: Boolean): Double =
+    controller.pausedHold(j) match {
+      case Some(hold) =>
+        appendHold(hold, now, opRate * dt * ops(j).cpuSecPerTuple, opRate * dt)
+        if (fused) serveOp(j, dt, now + dt, stats) else 0.0
+      case None =>
+        val perOp = execs(j)
+        var completed = 0.0
+        var e = 0
+        while (e < perOp.length) {
+          completed = arrive(perOp(e), opRate, now, dt, stats, fused, completed)
+          if (fused) completed = serve(perOp(e).retiring, completed, dt, now + dt, stats)
+          e += 1
+        }
+        completed
+    }
+
   /** Route one tick of executor `rt`'s input at operator rate `opRate`: a
     * cohort per task with a positive share, and the paused shards' part into
-    * their moves' hold buffers.
+    * their moves' hold buffers. With `fused`, each active task drains the
+    * whole tick right after its cohort arrives; returns `completed` plus the
+    * tuples they complete, added in task order.
     */
-  private def arrive(rt: ExecutorRuntime, opRate: Double, now: Double, dt: Double): Unit = {
+  private def arrive(rt: ExecutorRuntime, opRate: Double, now: Double, dt: Double,
+                     stats: CompletionStats, fused: Boolean, completed: Double): Double = {
     val cpuSecPerTuple = rt.op.cpuSecPerTuple
+    val endOfTick = now + dt
+    var acc = completed
     rt.windowArrivals += opRate * rt.totalShare * dt
     // Remote NIC cap: the receiver forwards at most one NIC's worth of
     // bytes to remote tasks per tick.
@@ -312,16 +337,21 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     var t = 0
     while (t < rt.tasks.length) {
       val share = shares(t)
+      val task = rt.tasks(t)
+      var tuples = 0.0
       if (share > 0) {
-        val task = rt.tasks(t)
         val remote = controller.capsRemoteNic && task.node != rt.localNode
         val scale = if (remote) remoteScale else 1.0
-        val tuples = opRate * share * dt * scale
+        tuples = opRate * share * dt * scale
         if (remote && remoteScale < 1.0)
           secBackpressured += opRate * share * dt * (1 - remoteScale)
-        if (tuples > 0)
-          secBackpressured += task.enqueue(now, tuples * cpuSecPerTuple, tuples)
       }
+      if (tuples > 0) {
+        if (fused) {
+          acc += task.enqueueAndDrain(now, tuples * cpuSecPerTuple, tuples, dt, endOfTick, stats)
+          secBackpressured += task.lastRefused
+        } else secBackpressured += task.enqueue(now, tuples * cpuSecPerTuple, tuples)
+      } else if (fused) acc += task.drain(dt, endOfTick, stats)
       t += 1
     }
     // Paused shards: buffer at the move's hold.
@@ -333,6 +363,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         appendHold(m.hold, now, opRate * w * dt * cpuSecPerTuple, opRate * w * dt)
       i += 1
     }
+    acc
   }
 
   private def countBusy(ts: collection.IndexedSeq[TaskRuntime]): Unit = {
@@ -343,8 +374,24 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     }
   }
 
-  /** Drain each task in `ts` for one tick, at its share of its node's cores;
-    * returns `completed` plus the tuples they complete, added in task order.
+  /** Drain every task of op `j` for one tick, each executor's active tasks
+    * then its retiring ones; returns the tuples they complete.
+    */
+  private def serveOp(j: Int, dt: Double, endOfTick: Double, stats: CompletionStats): Double = {
+    val perOp = execs(j)
+    var completed = 0.0
+    var e = 0
+    while (e < perOp.length) {
+      completed = serve(perOp(e).tasks, completed, dt, endOfTick, stats)
+      completed = serve(perOp(e).retiring, completed, dt, endOfTick, stats)
+      e += 1
+    }
+    completed
+  }
+
+  /** Drain each task in `ts` for one tick, at its share of its node's cores
+    * (the whole tick outside a two-pass tick); returns `completed` plus the
+    * tuples they complete, added in task order.
     */
   private def serve(ts: collection.IndexedSeq[TaskRuntime], completed: Double, dt: Double,
                     endOfTick: Double, stats: CompletionStats): Double = {
@@ -358,6 +405,19 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       t += 1
     }
     acc
+  }
+
+  /** Count the tasks on each node, active and retiring, and set
+    * [[oversubscribed]]. Called wherever task sets change: after warm start,
+    * after a scheduler decision is applied and when retiring tasks are freed.
+    */
+  private def recountTasks(): Unit = {
+    val onNode = new Array[Int](numNodes)
+    for (rt <- allExecs) {
+      rt.tasks.foreach(t => onNode(t.node) += 1)
+      rt.retiring.foreach(t => onNode(t.node) += 1)
+    }
+    oversubscribed = onNode.exists(_ > cluster.coresPerNode)
   }
 
   /** Expose layout for tests: (op name, executors, tasks each). */
@@ -591,6 +651,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
             val rt = allExecs(j)
             applyAssignment(rt, Array.tabulate(numNodes)(i => a.cores(i)(j)), rates(opIdx(rt.op.name)))
           }
+          recountTasks()
         }
       }
     }
@@ -707,8 +768,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       if (changed) {
         rt.activeMoves.filterInPlace(_.phase != ShardMoveOp.Done)
         // Retired tasks whose shards have all left and queues drained free up.
+        val retiring = rt.retiring.length
         rt.retiring.filterInPlace(t => !(t.isDrained &&
           rt.activeMoves.forall(_.fromTask ne t)))
+        if (rt.retiring.length < retiring) recountTasks()
       }
     }
   }

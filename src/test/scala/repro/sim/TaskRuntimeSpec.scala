@@ -58,10 +58,11 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     assert(t.isDrained)
   }
 
+  private def same(a: Double, b: Double, what: => String): Unit =
+    if (java.lang.Double.doubleToRawLongBits(a) != java.lang.Double.doubleToRawLongBits(b))
+      fail(s"$what: $a vs $b")
+
   test("TaskRuntime's ring matches the ArrayDeque reference bit for bit") {
-    def same(a: Double, b: Double, what: => String): Unit =
-      if (java.lang.Double.doubleToRawLongBits(a) != java.lang.Double.doubleToRawLongBits(b))
-        fail(s"$what: ring $a, reference $b")
     // How often each queue path ran, over all seeds.
     var (partial, full, longDrains, wraps, peak) = (0, 0, 0, 0, 0)
     forSeeds(300, seed = 777L) { rng =>
@@ -107,6 +108,68 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     assert(partial > 0 && full > 0, s"refusals: $partial partial, $full full")
     assert(longDrains > 0 && wraps > 0, s"$longDrains drains across 10+ cohorts, $wraps wrapped pushes")
     assert(peak > TaskRuntime.InitialCapacity, s"peak queue $peak cohorts never grew the ring")
+  }
+
+  test("enqueueAndDrain equals enqueue then drain bit for bit") {
+    // How often each case ran, over all seeds.
+    var (emptyFits, equal, above, nonEmpty, partial, full) = (0, 0, 0, 0, 0, 0)
+    forSeeds(300, seed = 4242L) { rng =>
+      val (stepped, split) = (new TaskRuntime(0), new TaskRuntime(0))
+      val (stats, splitStats) = (new CompletionStats, new CompletionStats)
+      val ref = new TaskRuntimeReference // tracks the cohorts queued, to classify each step
+      val refStats = new CompletionStats
+      var now = 0.0
+      for (step <- 0 until 200) {
+        now += 1e-3 * rng.nextDouble()
+        val cap = if (rng.nextInt(10) == 0) 0.5 * rng.nextDouble() else 1e-3 * (0.5 + rng.nextDouble())
+        rng.nextInt(20) match {
+          case 0 => // empty the queue
+            val (a, b) = (stepped.drain(5.0, now, stats), split.drain(5.0, now, splitStats))
+            same(a, b, s"step $step: emptying drain")
+            ref.drain(5.0, now, refStats)
+          case 1 => // fill to the back-pressure cap, so the next step refuses everything
+            val c = new Cohort(now, TaskRuntime.MaxQueueSec, 4e3)
+            same(stepped.enqueue(c), split.enqueue(c), s"step $step: fill")
+            ref.enqueue(new Cohort(now, c.work, c.tuples))
+          case k =>
+            val work = k % 6 match {
+              case 0 => 0.0
+              case 1 => cap
+              case 2 => cap * (1 + rng.nextDouble())
+              case 3 => 1.5 * rng.nextDouble() // builds backlog, partial refusals
+              case _ => cap * rng.nextDouble()
+            }
+            val tuples = work * 1e3 * (0.5 + rng.nextDouble())
+            val end = now + 1e-3 * rng.nextDouble()
+            val empty = ref.length == 0
+            val admitted = work <= TaskRuntime.MaxQueueSec - ref.queuedWork
+            val done = stepped.enqueueAndDrain(now, work, tuples, cap, end, stats)
+            val refused = split.enqueue(now, work, tuples)
+            same(done, split.drain(cap, end, splitStats), s"step $step: completed")
+            same(stepped.lastRefused, refused, s"step $step: refused")
+            ref.enqueue(new Cohort(now, work, tuples))
+            ref.drain(cap, end, refStats)
+            if (empty && work > 0 && admitted && work < cap) emptyFits += 1
+            if (empty && work > 0 && work == cap) equal += 1
+            if (work > cap) above += 1
+            if (!empty) nonEmpty += 1
+            if (refused > 0 && refused < tuples) partial += 1
+            if (work > 0 && refused == tuples) full += 1
+        }
+        same(stepped.queuedWork, split.queuedWork, s"step $step: queuedWork")
+        same(stepped.queuedTuples, split.queuedTuples, s"step $step: queuedTuples")
+        same(stepped.drainedWork, split.drainedWork, s"step $step: drainedWork")
+        same(stepped.queuedWork, ref.queuedWork, s"step $step: reference queuedWork")
+      }
+      same(stats.tuples, splitStats.tuples, "stats tuples")
+      same(stats.latencySum, splitStats.latencySum, "stats latencySum")
+      for (q <- Seq(0.01, 0.1, 0.5, 0.9, 0.99, 1.0))
+        same(stats.latencyQuantile(q), splitStats.latencyQuantile(q), s"stats quantile $q")
+    }
+    val cases = Seq("empty queue, work fits" -> emptyFits, "work equals capacity" -> equal,
+      "work above capacity" -> above, "non-empty queue" -> nonEmpty,
+      "partial refusal" -> partial, "full refusal" -> full)
+    assert(cases.forall(_._2 > 100), cases.mkString(", "))
   }
 
   test("CompletionStats mean and quantile") {
