@@ -1,12 +1,16 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.experiments.Experiments
+import repro.sim.SweepDriver.SweepRow
 
 /** Pins the engine's exact output under all four controllers on one small
   * micro-benchmark run ([[GoldenRun]]: 4 nodes × 8 cores, ω = 16, 20
   * simulated s), and under Elasticutor on one SSE run whose nodes hold more
-  * tasks than cores ([[GoldenRun.sseOversubscribed]]). The engine is deterministic, so a refactor that claims to
-  * keep behaviour must keep these values bit for bit; a change that moves
+  * tasks than cores ([[GoldenRun.sseOversubscribed]]), and the rows of all
+  * 12 Fig. 6 points (`Experiments.fig6Point`). The engine is deterministic,
+  * so a refactor that claims to keep behaviour must keep these values bit
+  * for bit; a change that moves
   * them on purpose updates them here and says why in EXPERIMENTS.md or
   * CHANGES.md.
   *
@@ -58,6 +62,26 @@ class GoldenBehaviourSpec extends AnyFunSuite {
       1310720.0, 6.357970841909328E7, 79, 0, 29))
     assert(r.deferredAssignments == 3)
     assert(r.perSecond == expectedPerSecond("SSE-Elasticutor"))
+  }
+
+  test("the 12 Fig. 6 points reproduce their golden rows exactly") {
+    val rows = for (a <- Experiments.fig6Approaches; o <- Experiments.fig6Omegas) yield Experiments.fig6Point(a, o)
+    assert(rows == Seq(
+      SweepRow("static", 0.0, 45407.901819768056, 0.1618534390349326, 5.011872336272725, 0.0, 0.0),
+      SweepRow("static", 2.0, 45686.6317121342, 0.1564029504203866, 5.011872336272725, 0.0, 0.0),
+      SweepRow("static", 8.0, 46020.85166175026, 0.10252008018982009, 2.5118864315095824, 0.0, 0.0),
+      SweepRow("static", 16.0, 45993.19619581904, 0.06248078298957595, 1.2589254117941662, 0.0, 0.0),
+      SweepRow("RC", 0.0, 46079.999999999716, 0.001999999999999223, 0.0012589254117941675, 0.0, 0.0),
+      SweepRow("RC", 2.0, 46079.999999997686, 0.011608913524706376, 0.3981071705534969, 0.024576, 0.0),
+      SweepRow("RC", 8.0, 46079.999999997955, 0.06593097451080712, 0.630957344480193, 0.094208, 0.0),
+      SweepRow("RC", 16.0, 46292.8263189714, 0.18505259939759489, 0.7943282347242822, 0.1540096, 0.0),
+      SweepRow("Elasticutor", 0.0, 46080.00000000238, 0.001999999999999178, 0.0012589254117941675, 0.0, 0.0),
+      SweepRow("Elasticutor", 2.0, 46080.00000000408, 0.002033096451080915, 0.0012589254117941675,
+        0.0032768000000000003, 0.057530672081459414),
+      SweepRow("Elasticutor", 8.0, 46080.00000000113, 0.0021997818564810753, 0.0012589254117941675,
+        0.15892479999999998, 0.5309624019181464),
+      SweepRow("Elasticutor", 16.0, 46082.61506171253, 0.002496973983802825, 0.01584893192461114,
+        0.6406144, 1.0900800679677645)))
   }
 }
 
