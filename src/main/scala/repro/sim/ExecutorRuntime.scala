@@ -16,13 +16,24 @@ final class Cohort(val arrivalSec: Double, var work: Double, var tuples: Double)
 final class CompletionStats {
   var tuples: Double = 0.0
   var latencySum: Double = 0.0
-  private val hist = new Array[Double](CompletionStats.Buckets) // 1 µs .. 1e6 s, log10 buckets ×10
+  /** Tuples per bucket: 1 µs .. 1e6 s, log10 buckets ×10. The engine keeps
+    * one bucket's count in a local across a loop of [[recordIn]]-equivalent
+    * adds, so it reads and writes the array directly.
+    */
+  private[sim] val hist = new Array[Double](CompletionStats.Buckets)
 
-  def record(n: Double, latencySec: Double): Unit = {
+  def record(n: Double, latencySec: Double): Unit =
+    recordIn(CompletionStats.bucketOf(latencySec), n, latencySec)
+
+  /** [[record]] with the latency's bucket already found (`bucket` must be
+    * `bucketOf(latencySec)`): for callers that record many completions of
+    * one latency.
+    */
+  def recordIn(bucket: Int, n: Double, latencySec: Double): Unit = {
     if (n <= 0) return
     tuples += n
     latencySum += n * latencySec
-    hist(CompletionStats.bucketOf(latencySec)) += n
+    hist(bucket) += n
   }
 
   def meanLatency: Double = if (tuples <= 0) 0.0 else latencySum / tuples
@@ -179,69 +190,83 @@ final class TaskRuntime(val node: Int) {
   /** Drain up to `capacitySec` of work ending at `nowSec`; completed
     * (fractions of) cohorts are reported to `stats` with their sojourn time
     * and to the caller as the number of completed tuples.
+    *
+    * The queue's fields live in locals for the loop. A cohort that fits the
+    * remaining capacity is taken whole: its fraction `work / work` is exactly
+    * 1, so it completes `tuples` with no division. A popped slot is not
+    * written, since nothing reads it before the next push overwrites it.
     */
   def drain(capacitySec: Double, nowSec: Double, stats: CompletionStats): Double = {
+    val r = ring
+    val mask = capacity - 1
+    var h = head
+    var n = size
+    var qWork = queuedWork
+    var qTuples = queuedTuples
+    var drained = drainedWork
     var cap = capacitySec
     var completed = 0.0
-    while (cap > 1e-12 && size > 0) {
-      val i = 3 * head
-      val work = ring(i + 1)
-      val tuples = ring(i + 2)
-      val take = math.min(work, cap)
-      val frac = take / work
-      val n = tuples * frac
-      stats.record(n, math.max(0.0, nowSec - ring(i)))
-      completed += n
-      val left = work - take
-      ring(i + 1) = left
-      ring(i + 2) = tuples - n
-      queuedWork -= take
-      queuedTuples -= n
-      drainedWork += take
-      cap -= take
-      if (left <= 1e-12) {
-        head = (head + 1) & (capacity - 1)
-        size -= 1
+    while (cap > 1e-12 && n > 0) {
+      val i = 3 * h
+      val work = r(i + 1)
+      val tuples = r(i + 2)
+      if (work <= cap) {
+        stats.record(tuples, math.max(0.0, nowSec - r(i)))
+        completed += tuples
+        qWork -= work
+        qTuples -= tuples
+        drained += work
+        cap -= work
+        h = (h + 1) & mask
+        n -= 1
+      } else {
+        val part = tuples * (cap / work)
+        stats.record(part, math.max(0.0, nowSec - r(i)))
+        completed += part
+        val left = work - cap
+        qWork -= cap
+        qTuples -= part
+        drained += cap
+        cap = 0.0 // cap - take, where the take is all of cap
+        if (left <= 1e-12) {
+          h = (h + 1) & mask
+          n -= 1
+        } else {
+          r(i + 1) = left
+          r(i + 2) = tuples - part
+        }
       }
     }
-    if (queuedWork < 0) queuedWork = 0
-    if (queuedTuples < 0) queuedTuples = 0
+    head = h
+    size = n
+    queuedWork = if (qWork < 0) 0 else qWork
+    queuedTuples = if (qTuples < 0) 0 else qTuples
+    drainedWork = drained
     completed
   }
 
-  /** Tuples the last [[enqueueAndDrain]] refused. */
-  var lastRefused: Double = 0.0
-
-  /** One tick of the task: [[enqueue]] a cohort, then [[drain]] up to
-    * `capacitySec`. Returns the completed tuples and leaves the refused ones
-    * in [[lastRefused]].
-    *
-    * A cohort that lands on an empty queue, is admitted whole and fits the
-    * tick completes without entering the ring: the same floating-point
-    * operations as `enqueue` then `drain`, in the same order, so the results
-    * are bit-identical. This step is small enough to inline; every other case
-    * takes [[enqueueThenDrain]].
+  /** Whether a cohort of `work` arriving now completes within `capacitySec`
+    * without entering the ring: the queue is empty, the cohort is admitted
+    * whole under [[TaskRuntime.MaxQueueSec]] and it fits, so [[enqueue]]
+    * then [[drain]] would refuse none of it and complete all of it. Callers
+    * take that case with [[completeWhole]], which keeps the general path out
+    * of their loops.
     */
-  def enqueueAndDrain(arrivalSec: Double, work: Double, tuples: Double,
-                      capacitySec: Double, nowSec: Double, stats: CompletionStats): Double =
-    if (size == 0 && work > 0 && work <= TaskRuntime.MaxQueueSec - queuedWork &&
-        work <= capacitySec && capacitySec > 1e-12) {
-      lastRefused = 0.0
-      queuedWork += work
-      queuedTuples += tuples
-      stats.record(tuples, math.max(0.0, nowSec - arrivalSec))
-      queuedWork -= work
-      queuedTuples -= tuples
-      drainedWork += work
-      if (queuedWork < 0) queuedWork = 0
-      if (queuedTuples < 0) queuedTuples = 0
-      tuples
-    } else enqueueThenDrain(arrivalSec, work, tuples, capacitySec, nowSec, stats)
+  def takesWhole(work: Double, capacitySec: Double): Boolean =
+    size == 0 && work > 0 && work <= TaskRuntime.MaxQueueSec - queuedWork &&
+      work <= capacitySec && capacitySec > 1e-12
 
-  private def enqueueThenDrain(arrivalSec: Double, work: Double, tuples: Double,
-                               capacitySec: Double, nowSec: Double, stats: CompletionStats): Double = {
-    lastRefused = enqueue(arrivalSec, work, tuples)
-    drain(capacitySec, nowSec, stats)
+  /** The task side of a cohort that [[takesWhole]] accepted: the same
+    * floating-point operations on the queue's totals as [[enqueue]] then
+    * [[drain]], in the same order, so the results are bit-identical. The
+    * caller records the cohort's `tuples` and their latency in its stats.
+    */
+  def completeWhole(work: Double, tuples: Double): Unit = {
+    val qWork = queuedWork + work - work
+    val qTuples = queuedTuples + tuples - tuples
+    drainedWork += work
+    queuedWork = if (qWork < 0) 0 else qWork
+    queuedTuples = if (qTuples < 0) 0 else qTuples
   }
 
   def isDrained: Boolean = queuedWork <= 1e-9

@@ -314,11 +314,21 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     * their moves' hold buffers. With `fused`, each active task drains the
     * whole tick right after its cohort arrives; returns `completed` plus the
     * tuples they complete, added in task order.
+    *
+    * A fused cohort that lands on an empty queue and fits the tick completes
+    * here ([[TaskRuntime.takesWhole]]) and refuses nothing; any other is
+    * enqueued and drained. Every cohort that completes here has the same
+    * latency, so its bucket is found once per call, and `stats`' sums and
+    * that bucket's count stay in locals. They are written back before, and
+    * reloaded after, each `drain`, which records into `stats` too, so every
+    * add into it happens in the same order as one `record` per completion.
     */
   private def arrive(rt: ExecutorRuntime, opRate: Double, now: Double, dt: Double,
                      stats: CompletionStats, fused: Boolean, completed: Double): Double = {
     val cpuSecPerTuple = rt.op.cpuSecPerTuple
     val endOfTick = now + dt
+    val latency = math.max(0.0, endOfTick - now)
+    val bucket = CompletionStats.bucketOf(latency)
     var acc = completed
     rt.windowArrivals += opRate * rt.totalShare * dt
     // Remote NIC cap: the receiver forwards at most one NIC's worth of
@@ -334,10 +344,14 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       }
     }
     val shares = rt.taskShare
+    val tasks = rt.tasks
+    var statTuples = stats.tuples
+    var statLatency = stats.latencySum
+    var statBucket = stats.hist(bucket)
     var t = 0
-    while (t < rt.tasks.length) {
+    while (t < tasks.length) {
       val share = shares(t)
-      val task = rt.tasks(t)
+      val task = tasks(t)
       var tuples = 0.0
       if (share > 0) {
         val remote = controller.capsRemoteNic && task.node != rt.localNode
@@ -346,14 +360,30 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         if (remote && remoteScale < 1.0)
           secBackpressured += opRate * share * dt * (1 - remoteScale)
       }
-      if (tuples > 0) {
+      val work = tuples * cpuSecPerTuple
+      if (fused && tuples > 0 && task.takesWhole(work, dt)) {
+        task.completeWhole(work, tuples)
+        statTuples += tuples
+        statLatency += tuples * latency
+        statBucket += tuples
+        acc += tuples
+      } else {
+        if (tuples > 0) secBackpressured += task.enqueue(now, work, tuples)
         if (fused) {
-          acc += task.enqueueAndDrain(now, tuples * cpuSecPerTuple, tuples, dt, endOfTick, stats)
-          secBackpressured += task.lastRefused
-        } else secBackpressured += task.enqueue(now, tuples * cpuSecPerTuple, tuples)
-      } else if (fused) acc += task.drain(dt, endOfTick, stats)
+          stats.tuples = statTuples
+          stats.latencySum = statLatency
+          stats.hist(bucket) = statBucket
+          acc += task.drain(dt, endOfTick, stats)
+          statTuples = stats.tuples
+          statLatency = stats.latencySum
+          statBucket = stats.hist(bucket)
+        }
+      }
       t += 1
     }
+    stats.tuples = statTuples
+    stats.latencySum = statLatency
+    stats.hist(bucket) = statBucket
     // Paused shards: buffer at the move's hold.
     var i = 0
     while (i < rt.activeMoves.length) {

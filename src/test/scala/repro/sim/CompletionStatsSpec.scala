@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 /** `CompletionStats` finds a latency's histogram bucket in a table of edges;
-  * these properties hold it to the log10 formula the table was derived from.
+  * these properties hold it to the log10 formula the table was derived from,
+  * and `recordIn` at that bucket to `record`.
   */
 class CompletionStatsSpec extends AnyFunSuite {
 
@@ -67,5 +68,32 @@ class CompletionStatsSpec extends AnyFunSuite {
       .foreach(assertSameBucket)
     assert(CompletionStats.bucketOf(Double.NaN) == 0)
     assert(CompletionStats.bucketOf(Double.PositiveInfinity) == CompletionStats.Buckets - 1)
+  }
+
+  test("recordIn at a latency's bucket equals record, histogram and quantiles included") {
+    val rng = new Random(20261019L)
+    val (recorded, recordedIn) = (new CompletionStats, new CompletionStats)
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    for (i <- 0 until 100000) {
+      val n = rng.nextInt(20) match {
+        case 0 => 0.0
+        case 1 => -rng.nextDouble()
+        case _ => 1e3 * rng.nextDouble()
+      }
+      val l = rng.nextInt(50) match {
+        case 0 => 0.0
+        case 1 => -1e-3
+        case _ => math.pow(10, rng.nextDouble() * 15 - 8)
+      }
+      recorded.record(n, l)
+      recordedIn.recordIn(CompletionStats.bucketOf(l), n, l)
+      if (bits(recorded.tuples) != bits(recordedIn.tuples) ||
+          bits(recorded.latencySum) != bits(recordedIn.latencySum))
+        fail(s"draw $i (n $n, latency $l): sums differ")
+    }
+    assert(recorded.hist.map(bits).toSeq == recordedIn.hist.map(bits).toSeq)
+    assert(recorded.hist.count(_ > 0) > 100, "draws cover most buckets")
+    for (q <- Seq(0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0))
+      assert(bits(recorded.latencyQuantile(q)) == bits(recordedIn.latencyQuantile(q)), s"quantile $q")
   }
 }

@@ -16,6 +16,9 @@ final class TaskRuntimeReference {
   /** Cohorts queued. */
   def length: Int = queue.length
 
+  /** Work left in the head cohort. */
+  def headWork: Double = queue.head.work
+
   def enqueue(c: Cohort): Double = {
     if (c.work <= 0) return 0.0
     val room = TaskRuntime.MaxQueueSec - queuedWork

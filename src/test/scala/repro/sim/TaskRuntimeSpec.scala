@@ -64,7 +64,7 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
 
   test("TaskRuntime's ring matches the ArrayDeque reference bit for bit") {
     // How often each queue path ran, over all seeds.
-    var (partial, full, longDrains, wraps, peak) = (0, 0, 0, 0, 0)
+    var (partial, full, longDrains, wraps, peak, splitPops) = (0, 0, 0, 0, 0, 0)
     forSeeds(300, seed = 777L) { rng =>
       val task = new TaskRuntime(0)
       val ref = new TaskRuntimeReference
@@ -90,10 +90,16 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
             if (refRefused > 0) partial += 1
           } else if (work > 0) full += 1
         } else {
-          val cap = if (rng.nextInt(10) == 0) 0.5 * rng.nextDouble() else 1e-3 * rng.nextDouble()
+          // Now and then stop 0.5e-12 short of the head cohort's end: drain
+          // takes a fraction of it, yet what is left is small enough to pop.
+          val nearlyHead = before > 0 && rng.nextInt(10) == 0
+          val cap =
+            if (nearlyHead) ref.headWork - 0.5e-12
+            else if (rng.nextInt(10) == 0) 0.5 * rng.nextDouble() else 1e-3 * rng.nextDouble()
           same(task.drain(cap, now, stats), ref.drain(cap, now, refStats), s"step $step: completed")
           head = (head + before - ref.length) % capacity
           if (before - ref.length >= 10) longDrains += 1
+          if (nearlyHead && cap > 1e-12 && ref.length < before) splitPops += 1
         }
         peak = math.max(peak, ref.length)
         same(task.queuedWork, ref.queuedWork, s"step $step: queuedWork")
@@ -107,30 +113,58 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     }
     assert(partial > 0 && full > 0, s"refusals: $partial partial, $full full")
     assert(longDrains > 0 && wraps > 0, s"$longDrains drains across 10+ cohorts, $wraps wrapped pushes")
+    assert(splitPops > 100, s"$splitPops drains popped a cohort they took only part of")
     assert(peak > TaskRuntime.InitialCapacity, s"peak queue $peak cohorts never grew the ring")
   }
 
-  test("enqueueAndDrain equals enqueue then drain bit for bit") {
+  /** The engine's step for one task and tick (`StreamSimulator.arrive`): a
+    * cohort that [[TaskRuntime.takesWhole]] accepts completes at the call
+    * site and is recorded at its bucket; any other is enqueued (when there is
+    * one) and the task drained. Returns the completed and refused tuples.
+    */
+  private def engineStep(task: TaskRuntime, now: Double, work: Double, tuples: Double,
+                         cap: Double, end: Double, stats: CompletionStats): (Double, Double) =
+    if (tuples > 0 && task.takesWhole(work, cap)) {
+      task.completeWhole(work, tuples)
+      val latency = math.max(0.0, end - now)
+      stats.recordIn(CompletionStats.bucketOf(latency), tuples, latency)
+      (tuples, 0.0)
+    } else {
+      val refused = if (tuples > 0) task.enqueue(now, work, tuples) else 0.0
+      (task.drain(cap, end, stats), refused)
+    }
+
+  test("the engine's per-task step equals enqueue then drain bit for bit") {
     // How often each case ran, over all seeds.
     var (emptyFits, equal, above, nonEmpty, partial, full) = (0, 0, 0, 0, 0, 0)
     forSeeds(300, seed = 4242L) { rng =>
       val (stepped, split) = (new TaskRuntime(0), new TaskRuntime(0))
       val (stats, splitStats) = (new CompletionStats, new CompletionStats)
-      val ref = new TaskRuntimeReference // tracks the cohorts queued, to classify each step
+      val ref = new TaskRuntimeReference // the ArrayDeque queue; also classifies each step
       val refStats = new CompletionStats
+      def sameAll(what: String): Unit = {
+        for ((name, a, b, r) <- Seq(
+          ("queuedWork", stepped.queuedWork, split.queuedWork, ref.queuedWork),
+          ("queuedTuples", stepped.queuedTuples, split.queuedTuples, ref.queuedTuples),
+          ("drainedWork", stepped.drainedWork, split.drainedWork, ref.drainedWork))) {
+          same(a, b, s"$what: $name")
+          same(a, r, s"$what: reference $name")
+        }
+      }
       var now = 0.0
       for (step <- 0 until 200) {
         now += 1e-3 * rng.nextDouble()
         val cap = if (rng.nextInt(10) == 0) 0.5 * rng.nextDouble() else 1e-3 * (0.5 + rng.nextDouble())
         rng.nextInt(20) match {
           case 0 => // empty the queue
-            val (a, b) = (stepped.drain(5.0, now, stats), split.drain(5.0, now, splitStats))
-            same(a, b, s"step $step: emptying drain")
-            ref.drain(5.0, now, refStats)
+            val a = stepped.drain(5.0, now, stats)
+            same(a, split.drain(5.0, now, splitStats), s"step $step: emptying drain")
+            same(a, ref.drain(5.0, now, refStats), s"step $step: reference emptying drain")
           case 1 => // fill to the back-pressure cap, so the next step refuses everything
             val c = new Cohort(now, TaskRuntime.MaxQueueSec, 4e3)
-            same(stepped.enqueue(c), split.enqueue(c), s"step $step: fill")
-            ref.enqueue(new Cohort(now, c.work, c.tuples))
+            val a = stepped.enqueue(c)
+            same(a, split.enqueue(c), s"step $step: fill")
+            same(a, ref.enqueue(new Cohort(now, c.work, c.tuples)), s"step $step: reference fill")
           case k =>
             val work = k % 6 match {
               case 0 => 0.0
@@ -143,12 +177,11 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
             val end = now + 1e-3 * rng.nextDouble()
             val empty = ref.length == 0
             val admitted = work <= TaskRuntime.MaxQueueSec - ref.queuedWork
-            val done = stepped.enqueueAndDrain(now, work, tuples, cap, end, stats)
-            val refused = split.enqueue(now, work, tuples)
+            val (done, refused) = engineStep(stepped, now, work, tuples, cap, end, stats)
+            same(refused, split.enqueue(now, work, tuples), s"step $step: refused")
             same(done, split.drain(cap, end, splitStats), s"step $step: completed")
-            same(stepped.lastRefused, refused, s"step $step: refused")
-            ref.enqueue(new Cohort(now, work, tuples))
-            ref.drain(cap, end, refStats)
+            same(refused, ref.enqueue(new Cohort(now, work, tuples)), s"step $step: reference refused")
+            same(done, ref.drain(cap, end, refStats), s"step $step: reference completed")
             if (empty && work > 0 && admitted && work < cap) emptyFits += 1
             if (empty && work > 0 && work == cap) equal += 1
             if (work > cap) above += 1
@@ -156,15 +189,14 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
             if (refused > 0 && refused < tuples) partial += 1
             if (work > 0 && refused == tuples) full += 1
         }
-        same(stepped.queuedWork, split.queuedWork, s"step $step: queuedWork")
-        same(stepped.queuedTuples, split.queuedTuples, s"step $step: queuedTuples")
-        same(stepped.drainedWork, split.drainedWork, s"step $step: drainedWork")
-        same(stepped.queuedWork, ref.queuedWork, s"step $step: reference queuedWork")
+        sameAll(s"step $step")
       }
-      same(stats.tuples, splitStats.tuples, "stats tuples")
-      same(stats.latencySum, splitStats.latencySum, "stats latencySum")
-      for (q <- Seq(0.01, 0.1, 0.5, 0.9, 0.99, 1.0))
-        same(stats.latencyQuantile(q), splitStats.latencyQuantile(q), s"stats quantile $q")
+      for ((name, other) <- Seq("enqueue then drain" -> splitStats, "reference" -> refStats)) {
+        same(stats.tuples, other.tuples, s"$name: stats tuples")
+        same(stats.latencySum, other.latencySum, s"$name: stats latencySum")
+        for (q <- Seq(0.01, 0.1, 0.5, 0.9, 0.99, 1.0))
+          same(stats.latencyQuantile(q), other.latencyQuantile(q), s"$name: stats quantile $q")
+      }
     }
     val cases = Seq("empty queue, work fits" -> emptyFits, "work equals capacity" -> equal,
       "work above capacity" -> above, "non-empty queue" -> nonEmpty,
