@@ -84,12 +84,20 @@ final class KeyFrequencies(val numKeys: Int, zipfSkew: Double, seed: Long) {
   /** Normalised frequency of key `k` under the current permutation+bursts. */
   def freq(k: Int): Double = base(rank(k)) * burst(k) / normalizer
 
+  // Key → global shard per (numExecutors, shardsPerExecutor) asked for: the
+  // hash partition never changes, only the frequencies do.
+  private val shardOfKey = scala.collection.mutable.HashMap.empty[(Int, Int), Array[Int]]
+  // Shard weights per (numExecutors, shardsPerExecutor) under the current
+  // frequencies; emptied whenever they change.
+  private val weightsOf = scala.collection.mutable.HashMap.empty[(Int, Int), Array[Double]]
+
   private var normalizer: Double = 1.0
   private def renormalize(): Unit = {
     var s = 0.0
     var k = 0
     while (k < numKeys) { s += base(rank(k)) * burst(k); k += 1 }
     normalizer = s
+    weightsOf.clear()
   }
   renormalize()
 
@@ -118,23 +126,23 @@ final class KeyFrequencies(val numKeys: Int, zipfSkew: Double, seed: Long) {
     renormalize()
   }
 
-  // Key → global shard per (numExecutors, shardsPerExecutor) asked for: the
-  // hash partition never changes, only the frequencies do.
-  private val shardOfKey = scala.collection.mutable.HashMap.empty[(Int, Int), Array[Int]]
-
   /** Aggregate key frequencies into global-shard weights under the two-tier
-    * hash partitioning (key → executor → shard). Each call returns a fresh
-    * array.
+    * hash partitioning (key → executor → shard). The sums are kept per
+    * (numExecutors, shardsPerExecutor) until the next [[shuffle]] or
+    * [[newRegime]]; each call returns a fresh copy.
     */
   def shardWeights(numExecutors: Int, shardsPerExecutor: Int): Array[Double] = {
-    val shard = shardOfKey.getOrElseUpdate((numExecutors, shardsPerExecutor),
-      Array.tabulate(numKeys)(k => Sharding.globalShardOf(k.toLong, numExecutors, shardsPerExecutor)))
-    val w = new Array[Double](numExecutors * shardsPerExecutor)
-    var k = 0
-    while (k < numKeys) {
-      w(shard(k)) += freq(k)
-      k += 1
-    }
-    w
+    val yz = (numExecutors, shardsPerExecutor)
+    weightsOf.getOrElseUpdate(yz, {
+      val shard = shardOfKey.getOrElseUpdate(yz,
+        Array.tabulate(numKeys)(k => Sharding.globalShardOf(k.toLong, numExecutors, shardsPerExecutor)))
+      val w = new Array[Double](numExecutors * shardsPerExecutor)
+      var k = 0
+      while (k < numKeys) {
+        w(shard(k)) += freq(k)
+        k += 1
+      }
+      w
+    }).clone()
   }
 }
