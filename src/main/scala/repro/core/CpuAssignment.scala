@@ -110,8 +110,11 @@ object CpuAssignment {
   final case class Success(assignment: Assignment) extends Result
   case object Fail extends Result
 
+  /** C⁺, defined as 0 for an executor with no core (X_j = 0, where the
+    * formula is 0/0): it holds no state on any node, so none moves.
+    */
   private def cPlus(s: Double, xj: Int, xij: Int): Double =
-    s * (xj - xij) / (xj.toDouble * (xj + 1))
+    if (xj == 0) 0.0 else s * (xj - xij) / (xj.toDouble * (xj + 1))
   private def cMinus(s: Double, xj: Int, xij: Int): Double =
     if (xj <= 1) Double.PositiveInfinity else s * (xj - xij) / (xj.toDouble * (xj - 1))
 

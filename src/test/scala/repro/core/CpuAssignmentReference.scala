@@ -10,7 +10,7 @@ import repro.core.CpuAssignment.{Assignment, ExecutorInfo, Fail, Result, Success
 object CpuAssignmentReference {
 
   private def cPlus(s: Double, xj: Int, xij: Int): Double =
-    s * (xj - xij) / (xj.toDouble * (xj + 1))
+    if (xj == 0) 0.0 else s * (xj - xij) / (xj.toDouble * (xj + 1))
   private def cMinus(s: Double, xj: Int, xij: Int): Double =
     if (xj <= 1) Double.PositiveInfinity else s * (xj - xij) / (xj.toDouble * (xj - 1))
 

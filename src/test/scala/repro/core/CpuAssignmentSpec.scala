@@ -102,6 +102,19 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
     assert(res.isEmpty)
   }
 
+  test("an executor holding no core is granted cores: C+ at X_j = 0 is 0, not 0/0") {
+    val ex = infos(2, j => j)
+    val prev = Assignment(IndexedSeq(IndexedSeq(1, 0), IndexedSeq(0, 0)))
+    val Success(a) = assignOnce(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), ex, phi = Double.MaxValue)
+    assert(a.totalOf(0) == 1 && a.totalOf(1) == 2)
+    assert(a.migrationCostFrom(prev, ex) == 0.0, "an executor with no core holds no state to move")
+    assert(assign(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), ex)._1 == Some(a))
+    // A data-intensive one takes its cores on its local node only.
+    val hot = infos(2, j => j, intensity = j => if (j == 1) 64 * Phi0 else 0.0)
+    val Success(b) = assignOnce(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), hot, phi = Phi0)
+    assert(b.cores(1)(1) == 2)
+  }
+
   test("assignOnce deallocates over-provisioned executors to feed hot ones") {
     val ex = infos(2, _ => 0)
     val prev = Assignment(IndexedSeq(IndexedSeq(6, 2))) // node0: e0=6, e1=2
@@ -196,20 +209,27 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("assignOnce and assign match the victim-scanning reference exactly") {
-    var successes, fails, overSubscribed, overCapacity = 0
+    var successes, fails, overSubscribed, overCapacity, grownFromNone = 0
     forSeeds(2500) { rng =>
       val (target, prev, cap, execs) = randomInput(rng)
       val phi = 512.0 * 1024 * math.pow(2, rng.nextInt(8) - 2)
       val once = assignOnce(target, prev, cap, execs, phi)
       assert(once == CpuAssignmentReference.assignOnce(target, prev, cap, execs, phi))
-      if (once == Fail) fails += 1 else successes += 1
+      once match {
+        case Success(a) =>
+          successes += 1
+          if (execs.indices.exists(j => prev.totalOf(j) == 0 && a.totalOf(j) > 0)) grownFromNone += 1
+        case Fail => fails += 1
+      }
       assert(assign(target, prev, cap, execs) == CpuAssignmentReference.assign(target, prev, cap, execs))
       if (cap.indices.exists(i => prev.usedOn(i) > cap(i))) overSubscribed += 1
       if (target.sum > cap.sum) overCapacity += 1
     }
-    // The generator reaches both outcomes and both kinds of overload.
-    assert(Seq(successes, fails, overSubscribed, overCapacity).forall(_ > 100),
-      s"success $successes fail $fails oversubscribed $overSubscribed over capacity $overCapacity")
+    // The generator reaches both outcomes, both kinds of overload, and
+    // successes that grant cores to an executor that held none.
+    assert(Seq(successes, fails, overSubscribed, overCapacity, grownFromNone).forall(_ > 100),
+      s"success $successes fail $fails oversubscribed $overSubscribed over capacity $overCapacity " +
+        s"grown from no core $grownFromNone")
   }
 
   test("a row of X̃ with the wrong length is rejected") {
