@@ -84,9 +84,6 @@ final class KeyFrequencies(val numKeys: Int, zipfSkew: Double, seed: Long) {
   /** Normalised frequency of key `k` under the current permutation+bursts. */
   def freq(k: Int): Double = base(rank(k)) * burst(k) / normalizer
 
-  // Key → global shard per (numExecutors, shardsPerExecutor) asked for: the
-  // hash partition never changes, only the frequencies do.
-  private val shardOfKey = scala.collection.mutable.HashMap.empty[(Int, Int), Array[Int]]
   // Shard weights per (numExecutors, shardsPerExecutor) under the current
   // frequencies; emptied whenever they change.
   private val weightsOf = scala.collection.mutable.HashMap.empty[(Int, Int), Array[Double]]
@@ -125,6 +122,10 @@ final class KeyFrequencies(val numKeys: Int, zipfSkew: Double, seed: Long) {
     }
     renormalize()
   }
+
+  // Key → global shard per (numExecutors, shardsPerExecutor) asked for: the
+  // hash partition never changes, only the frequencies do.
+  private val shardOfKey = scala.collection.mutable.HashMap.empty[(Int, Int), Array[Int]]
 
   /** Aggregate key frequencies into global-shard weights under the two-tier
     * hash partitioning (key → executor → shard). The sums are kept per
