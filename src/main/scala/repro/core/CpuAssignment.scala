@@ -176,11 +176,10 @@ object CpuAssignment {
     require(target.forall(_ >= 0), s"negative target: $target")
     require(prev.numNodes == n && prev.numExecutors == m,
       s"prev assignment shape ${prev.numNodes}x${prev.numExecutors} != ${n}x$m")
-    // `prev` may transiently oversubscribe a node (the runtime defers
-    // applying a shrink while shard moves are in flight). It is taken as
-    // is: only executors above target release cores, so a node whose
-    // executors are all at or below target stays oversubscribed in the
-    // result; growth just adds nothing there.
+    // The engine applies decisions whole, so its `prev` never oversubscribes
+    // a node. Another caller's may; it is taken as is: only executors above
+    // target release cores, so a node whose executors are all at or below
+    // target stays oversubscribed in the result; growth adds nothing there.
 
     // While loops throughout: the in-sim scheduler runs mostly before the
     // JIT has compiled it, where closures and boxing cost the most.

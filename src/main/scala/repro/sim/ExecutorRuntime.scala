@@ -135,6 +135,11 @@ final class TaskRuntime(val node: Int) {
   var queuedWork: Double = 0.0
   var queuedTuples: Double = 0.0
 
+  /** Whether the task holds its core. The engine grants cores; a task
+    * waiting for one is routed no work.
+    */
+  var holdsCore: Boolean = false
+
   /** Cumulative work ever drained — the labeling-tuple protocol (§3.3)
     * compares against this to know when pre-pause tuples are done.
     */
@@ -363,7 +368,9 @@ final class ExecutorRuntime(val op: OperatorSpec,
   private var shareTotal: Double = 0.0
   private var shareRemote: Double = 0.0
 
-  /** Tasks being decommissioned: keep draining until their moves finish. */
+  /** Tasks being decommissioned. Each drains on its core until its queue is
+    * empty and every move out of it has passed its labeling tuple.
+    */
   val retiring: mutable.ArrayBuffer[TaskRuntime] = mutable.ArrayBuffer.empty
 
   val activeMoves: mutable.ArrayBuffer[ShardMoveOp] = mutable.ArrayBuffer.empty

@@ -64,10 +64,10 @@ final case class SecondMetric(sec: Int,
   * full per-second series and per-operation protocol logs.
   *
   * @param warmupSec           seconds whose rows the post-warm-up totals skip
-  * @param deferredAssignments executor updates of applied scheduler
-  *                            decisions that were skipped because the
-  *                            executor still had shard moves or retiring
-  *                            tasks in flight (whole run, warm-up included)
+  * @param deferredAssignments scheduler decisions left unapplied because an
+  *                            executor they change still had shard moves or
+  *                            retiring tasks in flight (whole run, warm-up
+  *                            included)
   */
 final class SimResult(val perSecond: IndexedSeq[SecondMetric],
                       val moves: IndexedSeq[MoveRecord],
@@ -129,13 +129,12 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
   private var secOffered = 0.0
   private var deferred = 0
 
-  /** Busy tasks per node in a two-pass tick; all zero otherwise. */
-  private val busyOnNode = new Array[Int](numNodes)
-  /** Whether some node holds more tasks, active and retiring, than cores.
-    * Only then can a task get less than a whole tick of its core; recounted
-    * wherever task sets change ([[recountTasks]]).
+  /** Cores per node that no task holds. Every task runs on a whole core of
+    * its own (§3.2): a task added to a node whose cores are all held waits
+    * in that node's queue, first come first served, for the next one freed.
     */
-  private var oversubscribed = false
+  private val freeCores = Array.fill(numNodes)(cluster.coresPerNode)
+  private val waitingForCore = Array.fill(numNodes)(mutable.Queue.empty[TaskRuntime])
 
   // ---- executor layout -----------------------------------------------------
 
@@ -190,11 +189,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     * shares, and shard-sized work happens only when weights, pauses or task
     * sets change.
     *
-    * While no node holds more tasks than cores, every task drains a whole
-    * tick, so each executor's tasks are routed and drained in one pass. A
-    * tick with an oversubscribed node makes two: all arrivals, then the busy
-    * tasks per node are counted and each drains its share of its node's
-    * cores.
+    * Every task with work holds a whole core, so each executor's tasks are
+    * routed and each drains a whole tick in one pass.
     */
   def run(): SimResult = {
     val dt = config.tickSec
@@ -206,7 +202,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
     refreshWeights()
     controller.warmStart(steadyRates(0.0))
-    recountTasks()
+    allExecs.foreach(_.tasks.foreach(acquireCore))
+    checkCores()
 
     var step = 0
     while (step < steps) {
@@ -227,29 +224,11 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       secOffered += rates(entryOp) * dt
       java.util.Arrays.fill(internalRate, 0.0)
 
-      // Arrivals and service. A node can only supply coresPerNode core-ticks:
-      // when task churn oversubscribes a node (retiring tasks still
-      // draining), every busy task on it gets a proportional share, and
-      // counting the busy tasks needs every arrival routed first.
+      // Arrivals and service.
       val endOfTick = now + dt
-      if (oversubscribed) {
-        j = 0
-        while (j < ops.length) {
-          arriveOp(j, rates(j), now, dt, secStats(j), fused = false)
-          j += 1
-        }
-        var x = 0
-        while (x < allExecs.length) {
-          countBusy(allExecs(x).tasks)
-          countBusy(allExecs(x).retiring)
-          x += 1
-        }
-      }
       j = 0
       while (j < ops.length) {
-        val completed =
-          if (oversubscribed) serveOp(j, dt, endOfTick, secStats(j))
-          else arriveOp(j, rates(j), now, dt, secStats(j), fused = true)
+        val completed = arriveOp(j, rates(j), now, dt, secStats(j))
         val down = downIdx(j)
         var d = 0
         while (d < down.length) {
@@ -258,7 +237,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         }
         j += 1
       }
-      if (oversubscribed) java.util.Arrays.fill(busyOnNode, 0)
 
       controller.advanceProtocols()
       controller.control(now, shuffled, rates)
@@ -286,36 +264,42 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       math.max(config.durationSec - config.warmupSec, 1e-9), deferred)
   }
 
-  /** Route one tick of op `j`'s input at rate `opRate`, into its hold buffer
-    * while the paradigm pauses it. With `fused`, also drain every task of the
-    * op for the whole tick and return the completed tuples; `stats` records
-    * their latencies.
+  /** Route one tick of op `j`'s input at rate `opRate` and drain every task
+    * of the op for the whole tick, each executor's active tasks then its
+    * retiring ones; returns the completed tuples, and `stats` records their
+    * latencies. While the paradigm pauses the op, its input goes to the hold
+    * buffer and its tasks are routed nothing.
     */
-  private def arriveOp(j: Int, opRate: Double, now: Double, dt: Double,
-                       stats: CompletionStats, fused: Boolean): Double =
-    controller.pausedHold(j) match {
+  private def arriveOp(j: Int, opRate: Double, now: Double, dt: Double, stats: CompletionStats): Double = {
+    val routed = controller.pausedHold(j) match {
       case Some(hold) =>
         appendHold(hold, now, opRate * dt * ops(j).cpuSecPerTuple, opRate * dt)
-        if (fused) serveOp(j, dt, now + dt, stats) else 0.0
-      case None =>
-        val perOp = execs(j)
-        var completed = 0.0
-        var e = 0
-        while (e < perOp.length) {
-          completed = arrive(perOp(e), opRate, now, dt, stats, fused, completed)
-          if (fused) completed = serve(perOp(e).retiring, completed, dt, now + dt, stats)
-          e += 1
-        }
-        completed
+        0.0
+      case None => opRate
     }
+    val perOp = execs(j)
+    var completed = 0.0
+    var e = 0
+    while (e < perOp.length) {
+      completed = arrive(perOp(e), routed, now, dt, stats, completed)
+      val retiring = perOp(e).retiring
+      var t = 0
+      while (t < retiring.length) {
+        completed += retiring(t).drain(dt, now + dt, stats)
+        t += 1
+      }
+      e += 1
+    }
+    completed
+  }
 
   /** Route one tick of executor `rt`'s input at operator rate `opRate`: a
     * cohort per task with a positive share, and the paused shards' part into
-    * their moves' hold buffers. With `fused`, each active task drains the
-    * whole tick right after its cohort arrives; returns `completed` plus the
-    * tuples they complete, added in task order.
+    * their moves' hold buffers. Each active task drains the whole tick right
+    * after its cohort arrives; returns `completed` plus the tuples they
+    * complete, added in task order.
     *
-    * A fused cohort that lands on an empty queue and fits the tick completes
+    * A cohort that lands on an empty queue and fits the tick completes
     * here ([[TaskRuntime.takesWhole]]) and refuses nothing; any other is
     * enqueued and drained. Every cohort that completes here has the same
     * latency, so its bucket is found once per call, and `stats`' sums and
@@ -324,7 +308,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     * add into it happens in the same order as one `record` per completion.
     */
   private def arrive(rt: ExecutorRuntime, opRate: Double, now: Double, dt: Double,
-                     stats: CompletionStats, fused: Boolean, completed: Double): Double = {
+                     stats: CompletionStats, completed: Double): Double = {
     val cpuSecPerTuple = rt.op.cpuSecPerTuple
     val endOfTick = now + dt
     val latency = math.max(0.0, endOfTick - now)
@@ -361,7 +345,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
           secBackpressured += opRate * share * dt * (1 - remoteScale)
       }
       val work = tuples * cpuSecPerTuple
-      if (fused && tuples > 0 && task.takesWhole(work, dt)) {
+      if (tuples > 0 && task.takesWhole(work, dt)) {
         task.completeWhole(work, tuples)
         statTuples += tuples
         statLatency += tuples * latency
@@ -369,15 +353,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         acc += tuples
       } else {
         if (tuples > 0) secBackpressured += task.enqueue(now, work, tuples)
-        if (fused) {
-          stats.tuples = statTuples
-          stats.latencySum = statLatency
-          stats.hist(bucket) = statBucket
-          acc += task.drain(dt, endOfTick, stats)
-          statTuples = stats.tuples
-          statLatency = stats.latencySum
-          statBucket = stats.hist(bucket)
-        }
+        stats.tuples = statTuples
+        stats.latencySum = statLatency
+        stats.hist(bucket) = statBucket
+        acc += task.drain(dt, endOfTick, stats)
+        statTuples = stats.tuples
+        statLatency = stats.latencySum
+        statBucket = stats.hist(bucket)
       }
       t += 1
     }
@@ -396,58 +378,38 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     acc
   }
 
-  private def countBusy(ts: collection.IndexedSeq[TaskRuntime]): Unit = {
-    var t = 0
-    while (t < ts.length) {
-      if (ts(t).queuedWork > 0) busyOnNode(ts(t).node) += 1
-      t += 1
-    }
+  /** Give task `t` a free core on its node, or queue it for the next one. */
+  private def acquireCore(t: TaskRuntime): Unit =
+    if (freeCores(t.node) > 0) { freeCores(t.node) -= 1; t.holdsCore = true }
+    else waitingForCore(t.node).enqueue(t)
+
+  /** Free task `t`'s core; the first task waiting on its node takes it. */
+  private def releaseCore(t: TaskRuntime): Unit = {
+    t.holdsCore = false
+    val waiting = waitingForCore(t.node)
+    if (waiting.isEmpty) freeCores(t.node) += 1 else waiting.dequeue().holdsCore = true
   }
 
-  /** Drain every task of op `j` for one tick, each executor's active tasks
-    * then its retiring ones; returns the tuples they complete.
+  /** The core rule: no node holds more active tasks, or more tasks holding a
+    * core, than it has cores, and every task with queued work holds a core.
+    * Called wherever task sets or core holdings change: after warm start,
+    * after a scheduler decision is applied, and on a tick that completes a
+    * move or frees a core.
     */
-  private def serveOp(j: Int, dt: Double, endOfTick: Double, stats: CompletionStats): Double = {
-    val perOp = execs(j)
-    var completed = 0.0
-    var e = 0
-    while (e < perOp.length) {
-      completed = serve(perOp(e).tasks, completed, dt, endOfTick, stats)
-      completed = serve(perOp(e).retiring, completed, dt, endOfTick, stats)
-      e += 1
-    }
-    completed
-  }
-
-  /** Drain each task in `ts` for one tick, at its share of its node's cores
-    * (the whole tick outside a two-pass tick); returns `completed` plus the
-    * tuples they complete, added in task order.
-    */
-  private def serve(ts: collection.IndexedSeq[TaskRuntime], completed: Double, dt: Double,
-                    endOfTick: Double, stats: CompletionStats): Double = {
-    var acc = completed
-    var t = 0
-    while (t < ts.length) {
-      val task = ts(t)
-      val busy = busyOnNode(task.node)
-      val capacity = if (busy <= cluster.coresPerNode) dt else dt * cluster.coresPerNode / busy
-      acc += task.drain(capacity, endOfTick, stats)
-      t += 1
-    }
-    acc
-  }
-
-  /** Count the tasks on each node, active and retiring, and set
-    * [[oversubscribed]]. Called wherever task sets change: after warm start,
-    * after a scheduler decision is applied and when retiring tasks are freed.
-    */
-  private def recountTasks(): Unit = {
-    val onNode = new Array[Int](numNodes)
+  private def checkCores(): Unit = {
+    val active = new Array[Int](numNodes)
+    val holding = new Array[Int](numNodes)
+    def holds(t: TaskRuntime): Unit =
+      if (t.holdsCore) holding(t.node) += 1
+      else if (!t.isDrained)
+        throw new IllegalStateException(s"a task on node ${t.node} has queued work but holds no core")
     for (rt <- allExecs) {
-      rt.tasks.foreach(t => onNode(t.node) += 1)
-      rt.retiring.foreach(t => onNode(t.node) += 1)
+      rt.tasks.foreach { t => active(t.node) += 1; holds(t) }
+      rt.retiring.foreach(holds)
     }
-    oversubscribed = onNode.exists(_ > cluster.coresPerNode)
+    for (i <- 0 until numNodes if active(i) > cluster.coresPerNode || holding(i) > cluster.coresPerNode)
+      throw new IllegalStateException(s"node $i has ${active(i)} active tasks and ${holding(i)} " +
+        s"holding a core, on ${cluster.coresPerNode} cores")
   }
 
   /** Expose layout for tests: (op name, executors, tasks each). */
@@ -507,6 +469,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         val j = cores.indices.maxBy(cores)
         if (cores(j) > 1) { cores(j) -= 1; excess -= 1 } else excess = 0
       }
+      require(ops.length <= cluster.totalCores,
+        s"${ops.length} operators need at least one core each; cluster has ${cluster.totalCores}")
       var node = 0
       for (j <- ops.indices) yield {
         // One runtime holding as many shards as the executor-centric layout
@@ -662,8 +626,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       }
 
     override def advanceProtocols(): Unit = {
+      var changed = false
       var x = 0
-      while (x < allExecs.length) { advanceMoves(allExecs(x)); x += 1 }
+      while (x < allExecs.length) {
+        if (advanceMoves(allExecs(x))) changed = true
+        x += 1
+      }
+      if (changed) checkCores()
     }
 
     override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = {
@@ -676,13 +645,23 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         val decision = decide(_.windowArrivals / schedulePeriodSec)
         allExecs.foreach(_.windowArrivals = 0.0)
         schedMillis += decision.wallClockMillis
-        decision.assignment.foreach { a =>
-          for (j <- allExecs.indices) {
-            val rt = allExecs(j)
-            applyAssignment(rt, Array.tabulate(numNodes)(i => a.cores(i)(j)), rates(opIdx(rt.op.name)))
-          }
-          recountTasks()
-        }
+        decision.assignment.foreach(applyDecision(_, rates))
+      }
+    }
+
+    /** Apply decision `a` to every executor whose per-node core counts it
+      * changes or, if one of those still has shard moves or retiring tasks
+      * in flight, to none of them and count it as deferred. Algorithm 1 fits
+      * its output to the cluster, so a whole decision never gives a node
+      * more active tasks than cores.
+      */
+    private def applyDecision(a: CpuAssignment.Assignment, rates: Array[Double]): Unit = {
+      val changes = allExecs.indices.map(j => allExecs(j) -> Array.tabulate(numNodes)(i => a.cores(i)(j)))
+        .filterNot { case (rt, counts) => java.util.Arrays.equals(rt.coresPerNode(numNodes), counts) }
+      if (changes.exists { case (rt, _) => rt.activeMoves.nonEmpty || rt.retiring.nonEmpty }) deferred += 1
+      else if (changes.nonEmpty) {
+        for ((rt, counts) <- changes) applyAssignment(rt, counts, rates(opIdx(rt.op.name)))
+        checkCores()
       }
     }
 
@@ -708,22 +687,22 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       else DynamicScheduler.schedule(loads, infos, prev, capacity, config.latencyTargetSec, config.phi0)
     }
 
-    /** Install a new per-node core count vector on one executor: diff against
-      * current tasks, retire/add tasks, and launch the shard moves that
-      * rebalance onto the new task set. A change that finds moves or
-      * retiring tasks still in flight is skipped and counted as deferred.
+    /** Install a new per-node core count vector on an executor with no moves
+      * or retiring tasks in flight: diff against current tasks, retire/add
+      * tasks, and launch the shard moves that rebalance onto the new task
+      * set. A fresh task takes a free core on its node or waits for one; a
+      * retiring task keeps its core until it has drained.
       */
     private def applyAssignment(rt: ExecutorRuntime, newCounts: Array[Int], opRate: Double): Unit = {
-      if (java.util.Arrays.equals(rt.coresPerNode(numNodes), newCounts)) return
-      if (newCounts.sum == 0) return // never strip the last core
-      if (rt.activeMoves.nonEmpty || rt.retiring.nonEmpty) { deferred += 1; return }
+      require(newCounts.sum > 0, s"a decision strips an executor of ${rt.op.name} of its last core")
 
       // Per node: keep the first tasks up to the new count, retire the rest,
       // and add fresh tasks for any shortfall (by index into `rt.tasks`).
       val (kept, dropped) = (0 until numNodes).map(node =>
         rt.tasks.indices.filter(rt.tasks(_).node == node).splitAt(newCounts(node))).unzip
-      val newTasks = kept.flatten.map(rt.tasks) ++ (0 until numNodes).flatMap(node =>
+      val fresh = (0 until numNodes).flatMap(node =>
         Seq.fill(newCounts(node) - kept(node).length)(new TaskRuntime(node)))
+      val newTasks = kept.flatten.map(rt.tasks) ++ fresh
       val removed = dropped.flatten.map(rt.tasks)
       val n = newTasks.length
 
@@ -742,11 +721,14 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       // indices is pure bookkeeping, not a migration); each forced shard
       // still leaves its removed task through the protocol.
       rt.replaceTasks(newTasks)
-      rt.retiring ++= removed
       rt.remap(current)
       for (m <- forced) startMove(rt, m.shard, removed(m.fromTask - n), m.toTask)
       for (m <- LoadBalancer.collapse(refine) if !rt.isPaused(m.shard))
         startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
+      // A removed task retires on its core. One still waiting for a core has
+      // had no move onto it, so no shards and no work: it leaves the queue.
+      for (t <- removed) if (t.holdsCore) rt.retiring += t else waitingForCore(t.node).removeFirst(_ eq t)
+      fresh.foreach(acquireCore)
     }
 
     /** Periodic intra-executor balance check. */
@@ -765,8 +747,12 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         rt.op.statePerShardBytes, interNode)
     }
 
-    private def advanceMoves(rt: ExecutorRuntime): Unit = {
-      if (rt.activeMoves.isEmpty) return
+    /** Advance `rt`'s moves by one tick and free the cores of its retiring
+      * tasks that are done; returns whether a move completed or a core was
+      * freed. A move completes only once its target task holds a core.
+      */
+    private def advanceMoves(rt: ExecutorRuntime): Boolean = {
+      if (rt.activeMoves.isEmpty && rt.retiring.isEmpty) return false
       var changed = false
       var i = 0
       while (i < rt.activeMoves.length) {
@@ -780,9 +766,9 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
               m.phase = ShardMoveOp.Migrating
             }
           case ShardMoveOp.Migrating =>
-            if (currentSec >= m.migrateEndSec) {
+            val dst = rt.tasks(m.toTaskIndex)
+            if (currentSec >= m.migrateEndSec && dst.holdsCore) {
               rt.resume(m.shard, m.toTaskIndex)
-              val dst = rt.tasks(m.toTaskIndex)
               m.hold.foreach(c => secBackpressured += dst.enqueue(c))
               val bytes = if (m.interNode) m.stateBytes else 0.0
               if (m.interNode) { secMigrationBytes += bytes }
@@ -795,14 +781,18 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         }
         i += 1
       }
-      if (changed) {
-        rt.activeMoves.filterInPlace(_.phase != ShardMoveOp.Done)
-        // Retired tasks whose shards have all left and queues drained free up.
-        val retiring = rt.retiring.length
-        rt.retiring.filterInPlace(t => !(t.isDrained &&
-          rt.activeMoves.forall(_.fromTask ne t)))
-        if (rt.retiring.length < retiring) recountTasks()
+      if (changed) rt.activeMoves.filterInPlace(_.phase != ShardMoveOp.Done)
+      // A retiring task leaves and frees its core once its queue is empty and
+      // every move out of it has passed its labeling tuple: the state
+      // migration needs no core.
+      val retiring = rt.retiring.length
+      rt.retiring.filterInPlace { t =>
+        val done = t.isDrained &&
+          !rt.activeMoves.exists(m => (m.fromTask eq t) && m.phase == ShardMoveOp.Draining)
+        if (done) releaseCore(t)
+        !done
       }
+      changed || rt.retiring.length < retiring
     }
   }
 }

@@ -1,6 +1,7 @@
 package repro.sim
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.sse.SSEWorkload
 import repro.workload.MicroBenchWorkload
 
 /** Integration tests of the simulation engine at small scale (2×8-core
@@ -42,6 +43,14 @@ class SimulatorSpec extends AnyFunSuite {
     val l = sim.layout
     assert(l.map(_._2).forall(_ == 1))
     assert(l.flatMap(_._3).sum == cluster.totalCores, "all 16 cores bound")
+  }
+
+  test("layout: static rejects more operators than cores, naming both counts") {
+    // SSE's 12 operators cannot each get a core of one 8-core node.
+    val e = intercept[IllegalArgumentException](new StreamSimulator(
+      SimConfig(ClusterSpec(numNodes = 1, coresPerNode = 8), Paradigm.Static, executorsPerOp = 1,
+        shardsPerExecutor = 16, durationSec = 10, warmupSec = 2), new SSEWorkload(1000)))
+    assert(e.getMessage.contains("12 operators") && e.getMessage.contains("has 8"), e.getMessage)
   }
 
   test("static approach sustains a light uniform workload") {
@@ -175,11 +184,11 @@ class SimulatorSpec extends AnyFunSuite {
   }
 
   test("EC counts scheduler updates deferred by moves in flight") {
-    // At ω = 30 and 12 K tuples/s on 16 cores, some periodic decisions find
-    // an executor with shard moves in flight and skip it (4 on this run);
-    // static has no scheduler.
+    // At ω = 30 and 12 K tuples/s on 16 cores, some periodic decisions change
+    // an executor with shard moves in flight and are skipped whole (4 on this
+    // run); the count is of decisions, not executors. Static has no scheduler.
     val r = new StreamSimulator(cfg(ec), micro(12000, 30, skew = 0.8)).run()
-    assert(r.deferredAssignments > 0, "expected at least one deferred executor update")
+    assert(r.deferredAssignments > 0, "expected at least one deferred decision")
     assert(new StreamSimulator(cfg(Paradigm.Static), micro(12000, 30, skew = 0.8)).run()
       .deferredAssignments == 0)
   }
