@@ -27,10 +27,10 @@ object GoldenRun {
   }
 
   /** Table 3's 8-node run: Elasticutor on SSE at load 1.15, 30 simulated s.
-    * After its scheduler decisions some node holds more tasks than cores for
-    * about a third of the ticks, and more busy tasks than cores for
-    * thousands of them, so it pins the engine's tick on an oversubscribed
-    * node, where busy tasks share their node's cores.
+    * The cluster is saturated, so decisions grant cores that retiring tasks
+    * still hold: tasks wait for a core for about 11 000 task-ticks, and 3
+    * decisions are skipped while moves are in flight. It pins the engine's
+    * core handover (the name is from when such nodes shared their cores).
     */
   def sseOversubscribed(): SimResult = {
     val cluster = Experiments.paperCluster(8)
