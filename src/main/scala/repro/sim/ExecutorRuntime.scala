@@ -135,9 +135,7 @@ final class TaskRuntime(val node: Int) {
   var queuedWork: Double = 0.0
   var queuedTuples: Double = 0.0
 
-  /** Whether the task holds its core. The engine grants cores; a task
-    * waiting for one is routed no work.
-    */
+  /** Whether the engine has granted the task its core; until then it gets no work. */
   var holdsCore: Boolean = false
 
   /** Cumulative work ever drained — the labeling-tuple protocol (§3.3)
@@ -368,9 +366,7 @@ final class ExecutorRuntime(val op: OperatorSpec,
   private var shareTotal: Double = 0.0
   private var shareRemote: Double = 0.0
 
-  /** Tasks being decommissioned. Each drains on its core until its queue is
-    * empty and every move out of it has passed its labeling tuple.
-    */
+  /** Tasks being decommissioned, each draining on its core until it is freed. */
   val retiring: mutable.ArrayBuffer[TaskRuntime] = mutable.ArrayBuffer.empty
 
   val activeMoves: mutable.ArrayBuffer[ShardMoveOp] = mutable.ArrayBuffer.empty

@@ -455,6 +455,8 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     */
   private class StaticController extends Controller(capsRemoteNic = false) {
     def layout(): IndexedSeq[IndexedSeq[ExecutorRuntime]] = {
+      require(ops.length <= cluster.totalCores,
+        s"${ops.length} operators need at least one core each; cluster has ${cluster.totalCores}")
       // Allocate all cores across operators proportionally to their steady
       // CPU demand ("enough executors to fully utilize all CPU cores", §5);
       // executors are placed round-robin across nodes.
@@ -469,8 +471,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         val j = cores.indices.maxBy(cores)
         if (cores(j) > 1) { cores(j) -= 1; excess -= 1 } else excess = 0
       }
-      require(ops.length <= cluster.totalCores,
-        s"${ops.length} operators need at least one core each; cluster has ${cluster.totalCores}")
       var node = 0
       for (j <- ops.indices) yield {
         // One runtime holding as many shards as the executor-centric layout
@@ -659,7 +659,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val changes = allExecs.indices.map(j => allExecs(j) -> Array.tabulate(numNodes)(i => a.cores(i)(j)))
         .filterNot { case (rt, counts) => java.util.Arrays.equals(rt.coresPerNode(numNodes), counts) }
       if (changes.exists { case (rt, _) => rt.activeMoves.nonEmpty || rt.retiring.nonEmpty }) deferred += 1
-      else if (changes.nonEmpty) {
+      else {
         for ((rt, counts) <- changes) applyAssignment(rt, counts, rates(opIdx(rt.op.name)))
         checkCores()
       }
