@@ -1,6 +1,7 @@
 package repro.sim
 
 import scala.collection.mutable
+import repro.core.LoadBalancer
 
 /** A batch of tuples that arrived together; the unit of queueing in the
   * fluid simulation (held in hold buffers as objects, queued in a task's
@@ -17,23 +18,16 @@ final class CompletionStats {
   var tuples: Double = 0.0
   var latencySum: Double = 0.0
   /** Tuples per bucket: 1 µs .. 1e6 s, log10 buckets ×10. The engine keeps
-    * one bucket's count in a local across a loop of [[recordIn]]-equivalent
+    * one bucket's count in a local across a loop of [[record]]-equivalent
     * adds, so it reads and writes the array directly.
     */
   private[sim] val hist = new Array[Double](CompletionStats.Buckets)
 
-  def record(n: Double, latencySec: Double): Unit =
-    recordIn(CompletionStats.bucketOf(latencySec), n, latencySec)
-
-  /** [[record]] with the latency's bucket already found (`bucket` must be
-    * `bucketOf(latencySec)`): for callers that record many completions of
-    * one latency.
-    */
-  def recordIn(bucket: Int, n: Double, latencySec: Double): Unit = {
+  def record(n: Double, latencySec: Double): Unit = {
     if (n <= 0) return
     tuples += n
     latencySum += n * latencySec
-    hist(bucket) += n
+    hist(CompletionStats.bucketOf(latencySec)) += n
   }
 
   def meanLatency: Double = if (tuples <= 0) 0.0 else latencySum / tuples
@@ -288,7 +282,8 @@ object TaskRuntime {
   *     everything that was queued ahead of it.
   *  2. `Migrating` — state bytes cross the network (skipped intra-node
   *     thanks to intra-process state sharing).
-  *  3. done — routing table updated, hold buffer flushed to the target.
+  *  3. resume — once the target task holds a core, routing table updated
+  *     and hold buffer flushed to the target; the engine then drops the move.
   */
 final class ShardMoveOp(val shard: Int,
                         val fromTask: TaskRuntime,
@@ -307,16 +302,25 @@ final class ShardMoveOp(val shard: Int,
 object ShardMoveOp {
   final val Draining = 0
   final val Migrating = 1
-  final val Done = 2
 }
 
-/** Record of one completed Elasticutor shard reassignment (Fig. 8/9 data). */
+/** Record of one completed Elasticutor shard reassignment (Fig. 8/9 data).
+  *
+  * @param timeSec    when the move started (its shard paused)
+  * @param syncSec    start to the labeling tuple plus the control overhead
+  * @param migrateSec the state transfer after that (0 intra-node)
+  * @param resumeSec  when the routing table was updated and the shard
+  *                   resumed on its target: at least `timeSec + syncSec +
+  *                   migrateSec`, later by however long the target task
+  *                   waited for a core
+  */
 final case class MoveRecord(timeSec: Double,
                             op: String,
                             interNode: Boolean,
                             syncSec: Double,
                             migrateSec: Double,
-                            bytes: Double)
+                            bytes: Double,
+                            resumeSec: Double)
 
 /** Record of one RC operator-level key repartitioning (global sync). */
 final case class RepartitionRecord(timeSec: Double,
@@ -483,6 +487,15 @@ final class ExecutorRuntime(val op: OperatorSpec,
     val total = taskShare.sum
     if (total <= 0) 1.0 else taskShare.max / (total / tasks.length)
   }
+
+  /** Whether a balance check has nothing to do: one task, or δ within θ. */
+  def isBalanced: Boolean = tasks.length < 2 || imbalance <= LoadBalancer.Theta
+
+  /** The balancer's plan (§3.1) for this executor's current map and tasks
+    * at operator input rate `opRate`.
+    */
+  def rebalance(opRate: Double): LoadBalancer.Rebalance =
+    LoadBalancer.rebalance(shardLoads(opRate), shardMap, tasks.length, LoadBalancer.Theta)
 
   /** Cores per node currently held (column of the assignment matrix X). */
   def coresPerNode(numNodes: Int): Array[Int] = {

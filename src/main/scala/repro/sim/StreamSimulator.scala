@@ -238,7 +238,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         j += 1
       }
 
-      controller.advanceProtocols()
       controller.control(now, shuffled, rates)
 
       // Per-second metric rollover.
@@ -315,8 +314,9 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     val bucket = CompletionStats.bucketOf(latency)
     var acc = completed
     rt.windowArrivals += opRate * rt.totalShare * dt
-    // Remote NIC cap: the receiver forwards at most one NIC's worth of
-    // bytes to remote tasks per tick.
+    // Remote NIC cap, the one paradigm property routing reads (once per
+    // executor): the receiver forwards at most one NIC's worth of bytes to
+    // remote tasks per tick.
     var remoteScale = 1.0
     if (controller.capsRemoteNic) {
       val rs = rt.remoteShare
@@ -338,11 +338,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val task = tasks(t)
       var tuples = 0.0
       if (share > 0) {
-        val remote = controller.capsRemoteNic && task.node != rt.localNode
-        val scale = if (remote) remoteScale else 1.0
+        // Without the cap remoteScale is exactly 1.0, and x * 1.0 == x.
+        val scale = if (task.node != rt.localNode) remoteScale else 1.0
         tuples = opRate * share * dt * scale
-        if (remote && remoteScale < 1.0)
-          secBackpressured += opRate * share * dt * (1 - remoteScale)
+        if (scale < 1.0) secBackpressured += opRate * share * dt * (1 - scale)
       }
       val work = tuples * cpuSecPerTuple
       if (tuples > 0 && task.takesWhole(work, dt)) {
@@ -418,8 +417,9 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
   // ---- controllers ---------------------------------------------------------
 
-  /** One paradigm's decisions. The engine calls it at fixed points of the
-    * tick and never branches on the paradigm itself.
+  /** One paradigm's decisions. The engine calls `layout` once, `warmStart`
+    * before the clock starts, and per tick `pausedHold` while routing and
+    * `control` after arrivals; it never branches on the paradigm itself.
     *
     * @param capsRemoteNic whether each executor's receiver forwards to its
     *                      remote tasks through one NIC (§3.2), capping the
@@ -439,15 +439,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     /** Hold buffer for all of op `op`'s input while the paradigm pauses it. */
     def pausedHold(op: Int): Option[mutable.ArrayBuffer[Cohort]] = None
 
-    /** Advance in-flight protocol state machines by one tick. */
-    def advanceProtocols(): Unit = ()
-
-    /** Periodic control at tick time `now`, given this tick's op input rates. */
+    /** One tick of control at tick time `now`, given this tick's op input
+      * rates: advance in-flight protocol state machines, then periodic work.
+      */
     def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = ()
-
-    /** Balance an executor's (still round-robin) map before the clock starts, at no protocol cost. */
-    protected final def installBalancedMap(rt: ExecutorRuntime, opRate: Double): Unit = rt.remap(
-      LoadBalancer.rebalance(rt.shardLoads(opRate), rt.shardMap, rt.tasks.length, config.theta).assignment)
   }
 
   /** Storm default: one runtime per operator whose tasks are its single-core
@@ -505,19 +500,17 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     private val active = new Array[RepartitionOp](ops.length)
     private var lastCheck = 0.0
 
-    // RC systems rebalance on deploy: start from a balanced shard map.
+    // RC systems rebalance on deploy: start from a balanced shard map, at no
+    // protocol cost.
     override def warmStart(rates: Array[Double]): Unit =
-      for (j <- ops.indices) installBalancedMap(execs(j).head, rates(j))
+      for (j <- ops.indices; rt = execs(j).head) rt.remap(rt.rebalance(rates(j)).assignment)
 
     override def pausedHold(op: Int): Option[mutable.ArrayBuffer[Cohort]] =
       if (active(op) == null) None else Some(active(op).hold)
 
-    override def advanceProtocols(): Unit = {
+    override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = {
       var j = 0
       while (j < ops.length) { advance(j); j += 1 }
-    }
-
-    override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit =
       // RC's controller aggregates operator-level metrics globally; it
       // reacts on its periodic cadence, not instantly on a shuffle —
       // queues build in the hot executors until the check fires, and
@@ -526,15 +519,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         lastCheck = now
         for (j <- ops.indices) maybeRepartition(j, rates(j))
       }
+    }
 
     private def maybeRepartition(op: Int, opRate: Double): Unit = {
       val rt = execs(op).head
-      if (active(op) != null || rt.tasks.length < 2) return
-      if (rt.imbalance <= config.theta) return
-      val loads = rt.shardLoads(opRate)
-      val reb = LoadBalancer.rebalance(loads, rt.shardMap, rt.tasks.length, config.theta)
-      if (reb.moves.isEmpty) return
-      active(op) = new RepartitionOp(currentSec, reb.moves, reb.assignment)
+      if (active(op) != null || rt.isBalanced) return
+      val reb = rt.rebalance(opRate)
+      if (reb.moves.nonEmpty) active(op) = new RepartitionOp(currentSec, reb.moves, reb.assignment)
     }
 
     private def advance(op: Int): Unit = {
@@ -612,20 +603,19 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     }
 
     /** Provision executors with the real scheduler, installing tasks on the
-      * decision's nodes (all still empty) and balanced shard maps directly —
-      * no protocol, no cost.
+      * decision's nodes (all still empty; every executor gets at least one
+      * core) and balanced shard maps directly — no protocol, no cost.
       */
     override def warmStart(rates: Array[Double]): Unit =
       decide(rt => rates(opIdx(rt.op.name)) * rt.totalShare).assignment.foreach { a =>
         for (j <- allExecs.indices) {
           val rt = allExecs(j)
-          val nodes = (0 until numNodes).flatMap(i => Seq.fill(a.cores(i)(j))(i))
-          if (nodes.nonEmpty) rt.replaceTasks(nodes.map(new TaskRuntime(_)))
-          installBalancedMap(rt, rates(opIdx(rt.op.name)))
+          rt.replaceTasks((0 until numNodes).flatMap(i => Seq.fill(a.cores(i)(j))(new TaskRuntime(i))))
+          rt.remap(rt.rebalance(rates(opIdx(rt.op.name))).assignment)
         }
       }
 
-    override def advanceProtocols(): Unit = {
+    override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = {
       var changed = false
       var x = 0
       while (x < allExecs.length) {
@@ -633,9 +623,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         x += 1
       }
       if (changed) checkCores()
-    }
-
-    override def control(now: Double, shuffled: Boolean, rates: Array[Double]): Unit = {
       if (shuffled || now - lastBalance >= balancePeriodSec) {
         lastBalance = now
         for (j <- ops.indices; rt <- execs(j)) maybeRebalance(rt, rates(j))
@@ -732,13 +719,10 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     }
 
     /** Periodic intra-executor balance check. */
-    private def maybeRebalance(rt: ExecutorRuntime, opRate: Double): Unit = {
-      if (rt.activeMoves.nonEmpty || rt.tasks.length < 2) return
-      if (rt.imbalance <= config.theta) return
-      val loads = rt.shardLoads(opRate)
-      val reb = LoadBalancer.rebalance(loads, rt.shardMap, rt.tasks.length, config.theta)
-      for (m <- LoadBalancer.collapse(reb.moves)) startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
-    }
+    private def maybeRebalance(rt: ExecutorRuntime, opRate: Double): Unit =
+      if (rt.activeMoves.isEmpty && !rt.isBalanced)
+        for (m <- LoadBalancer.collapse(rt.rebalance(opRate).moves))
+          startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
 
     private def startMove(rt: ExecutorRuntime, shard: Int, fromTask: TaskRuntime, toTask: Int): Unit = {
       val interNode = fromTask.node != rt.tasks(toTask).node
@@ -753,35 +737,31 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       */
     private def advanceMoves(rt: ExecutorRuntime): Boolean = {
       if (rt.activeMoves.isEmpty && rt.retiring.isEmpty) return false
-      var changed = false
-      var i = 0
-      while (i < rt.activeMoves.length) {
-        val m = rt.activeMoves(i)
-        m.phase match {
-          case ShardMoveOp.Draining =>
-            if (m.fromTask.drainedWork + 1e-9 >= m.drainTarget) {
-              m.syncEndSec = currentSec + cluster.shardSyncOverheadSec
-              m.migrateEndSec = m.syncEndSec +
-                (if (m.interNode) cluster.transferSec(m.stateBytes) else 0.0)
-              m.phase = ShardMoveOp.Migrating
-            }
-          case ShardMoveOp.Migrating =>
-            val dst = rt.tasks(m.toTaskIndex)
-            if (currentSec >= m.migrateEndSec && dst.holdsCore) {
-              rt.resume(m.shard, m.toTaskIndex)
-              m.hold.foreach(c => secBackpressured += dst.enqueue(c))
-              val bytes = if (m.interNode) m.stateBytes else 0.0
-              if (m.interNode) { secMigrationBytes += bytes }
-              moveLog += MoveRecord(m.startSec, rt.op.name, m.interNode,
-                m.syncEndSec - m.startSec, m.migrateEndSec - m.syncEndSec, bytes)
-              m.phase = ShardMoveOp.Done
-              changed = true
-            }
-          case _ => ()
+      val moves = rt.activeMoves.length
+      // One pass in move order; a move that resumes leaves the list.
+      rt.activeMoves.filterInPlace { m =>
+        if (m.phase == ShardMoveOp.Draining) {
+          if (m.fromTask.drainedWork + 1e-9 >= m.drainTarget) {
+            m.syncEndSec = currentSec + cluster.shardSyncOverheadSec
+            m.migrateEndSec = m.syncEndSec +
+              (if (m.interNode) cluster.transferSec(m.stateBytes) else 0.0)
+            m.phase = ShardMoveOp.Migrating
+          }
+          true
+        } else {
+          val dst = rt.tasks(m.toTaskIndex)
+          val resumes = currentSec >= m.migrateEndSec && dst.holdsCore
+          if (resumes) {
+            rt.resume(m.shard, m.toTaskIndex)
+            m.hold.foreach(c => secBackpressured += dst.enqueue(c))
+            val bytes = if (m.interNode) m.stateBytes else 0.0
+            if (m.interNode) { secMigrationBytes += bytes }
+            moveLog += MoveRecord(m.startSec, rt.op.name, m.interNode,
+              m.syncEndSec - m.startSec, m.migrateEndSec - m.syncEndSec, bytes, currentSec)
+          }
+          !resumes
         }
-        i += 1
       }
-      if (changed) rt.activeMoves.filterInPlace(_.phase != ShardMoveOp.Done)
       // A retiring task leaves and frees its core once its queue is empty and
       // every move out of it has passed its labeling tuple: the state
       // migration needs no core.
@@ -792,7 +772,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         if (done) releaseCore(t)
         !done
       }
-      changed || rt.retiring.length < retiring
+      rt.activeMoves.length < moves || rt.retiring.length < retiring
     }
   }
 }

@@ -11,13 +11,14 @@ import repro.workload.MicroBenchWorkload
   * cores per node), load 0.3–1.3 of capacity, z ∈ {16, 64, 256}, 10–20
   * simulated s, under all four controllers. Each run must finish without the
   * engine's core-rule check firing, and be well-formed and deterministic.
+  * Every shard move's timeline must be ordered and lie inside its run.
   */
 class EnginePropertySpec extends AnyFunSuite with PropHelpers {
 
   private val controllers = GoldenRun.controllers.map(_._2)
 
-  /** One random config, as a function that simulates it from scratch. */
-  private def randomRun(rng: scala.util.Random): () => SimResult = {
+  /** One random config and a function that simulates it from scratch. */
+  private def randomRun(rng: scala.util.Random): (SimConfig, () => SimResult) = {
     val nodes = 2 + rng.nextInt(3)
     val paradigm = controllers(rng.nextInt(controllers.length))
     val load = 0.3 + rng.nextDouble()
@@ -30,7 +31,7 @@ class EnginePropertySpec extends AnyFunSuite with PropHelpers {
       val rate = cluster.totalCores / Experiments.ssePipelineCostSec * load
       val config = SimConfig(cluster, paradigm, executorsPerOp = 1, shardsPerExecutor = z,
         executorsPerOpOverride = Map("transactor" -> 2 * nodes), durationSec = duration, warmupSec = 2.0)
-      () => new StreamSimulator(config, new SSEWorkload(rate)).run()
+      (config, () => new StreamSimulator(config, new SSEWorkload(rate)).run())
     } else {
       val cluster = ClusterSpec(nodes, coresPerNode = 2 + rng.nextInt(7))
       val rate = cluster.totalCores / MicroBenchWorkload.CalculatorCostSec * load
@@ -39,14 +40,16 @@ class EnginePropertySpec extends AnyFunSuite with PropHelpers {
       val seed = rng.nextLong()
       val config = SimConfig(cluster, paradigm, executorsPerOp = 1 + rng.nextInt(cluster.totalCores / 2),
         shardsPerExecutor = z, durationSec = duration, warmupSec = 2.0)
-      () => new StreamSimulator(config, new MicroBenchWorkload(rate, omega, zipfSkew = skew, seed = seed)).run()
+      (config, () => new StreamSimulator(config,
+        new MicroBenchWorkload(rate, omega, zipfSkew = skew, seed = seed)).run())
     }
   }
 
   test("random small runs keep the core rule and are well-formed and deterministic") {
     var skipping = 0
+    var (moves, waited, totalWait, longestWait) = (0, 0, 0.0, 0.0)
     forSeeds(80) { rng =>
-      val run = randomRun(rng)
+      val (config, run) = randomRun(rng)
       val r = run()
       for (m <- r.perSecond; v <- Seq(m.throughput, m.meanLatencySec, m.migrationBytes,
              m.remoteBytes, m.backpressured, m.offered))
@@ -57,8 +60,24 @@ class EnginePropertySpec extends AnyFunSuite with PropHelpers {
       done.lazyZip(offered).foreach((d, o) => assert(d <= o * (1 + 1e-9), s"completed $d > offered $o"))
       assert(r.deferredAssignments <= r.schedulerMillis.length)
       if (r.deferredAssignments > 0) skipping += 1
+      // start <= sync end <= migrate end <= routing update, inside the run. A
+      // move resumes within a tick of its migrate end unless its target task
+      // waits for a core.
+      for (m <- r.moves) {
+        val migrateEnd = m.timeSec + m.syncSec + m.migrateSec
+        assert(m.timeSec >= 0 && m.syncSec >= 0 && m.migrateSec >= 0, s"$m")
+        assert(m.resumeSec >= migrateEnd - 1e-9 && m.resumeSec < config.durationSec, s"$m")
+        val waitSec = m.resumeSec - migrateEnd
+        if (waitSec >= config.tickSec) {
+          waited += 1; totalWait += waitSec; longestWait = math.max(longestWait, waitSec)
+        }
+      }
+      moves += r.moves.length
       assert(run().perSecond == r.perSecond, "same seed, different run")
     }
     assert(skipping > 3, s"only $skipping of 80 runs skipped a decision")
+    assert(waited > 0, s"none of $moves moves waited a tick for its target's core")
+    info(f"$waited of $moves moves waited a tick or more for their target's core: " +
+      f"${totalWait / waited}%.3f s on average, the longest $longestWait%.3f s")
   }
 }

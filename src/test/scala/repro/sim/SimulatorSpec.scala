@@ -173,6 +173,20 @@ class SimulatorSpec extends AnyFunSuite {
     assert(r.throughput < 9200, s"throughput ${r.throughput} should be network-capped")
   }
 
+  test("static and RC never pay the remote NIC cap") {
+    // Only an elastic executor's receiver forwards to remote tasks (§3.2):
+    // the same data-intensive run on a 2 MB/s network matches the default
+    // network second by second, and no second counts remote bytes.
+    def run(paradigm: Paradigm, net: ClusterSpec) = new StreamSimulator(
+      SimConfig(net, paradigm, executorsPerOp = 1, shardsPerExecutor = 64, durationSec = 20, warmupSec = 5),
+      micro(10000, 0, skew = 0.3, tupleBytes = 2048)).run()
+    for (paradigm <- Seq(Paradigm.Static, rc)) {
+      val slow = run(paradigm, cluster.copy(networkBytesPerSec = 2.0e6))
+      assert(slow.perSecond == run(paradigm, cluster).perSecond, s"$paradigm")
+      assert(slow.perSecond.forall(_.remoteBytes == 0), s"$paradigm")
+    }
+  }
+
   test("naive-EC and Elasticutor both sustain the workload; naive migrates at least as much") {
     val naive = new StreamSimulator(cfg(Paradigm.ExecutorCentric(naive = true), 30),
       micro(8000, 4, skew = 1.0)).run()

@@ -119,7 +119,7 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
 
   /** The engine's step for one task and tick (`StreamSimulator.arrive`): a
     * cohort that [[TaskRuntime.takesWhole]] accepts completes at the call
-    * site and is recorded at its bucket; any other is enqueued (when there is
+    * site and is recorded; any other is enqueued (when there is
     * one) and the task drained. Returns the completed and refused tuples.
     */
   private def engineStep(task: TaskRuntime, now: Double, work: Double, tuples: Double,
@@ -127,7 +127,7 @@ class TaskRuntimeSpec extends AnyFunSuite with PropHelpers {
     if (tuples > 0 && task.takesWhole(work, cap)) {
       task.completeWhole(work, tuples)
       val latency = math.max(0.0, end - now)
-      stats.recordIn(CompletionStats.bucketOf(latency), tuples, latency)
+      stats.record(tuples, latency)
       (tuples, 0.0)
     } else {
       val refused = if (tuples > 0) task.enqueue(now, work, tuples) else 0.0
