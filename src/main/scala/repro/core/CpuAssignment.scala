@@ -21,11 +21,11 @@ import scala.collection.immutable.ArraySeq
   * The paper's steal move (C⁻ + C⁺: take a core from an over-provisioned
   * executor and grant it) is subsumed by the shrink pass: once it has run,
   * no executor is over-provisioned and every core a steal could take is
-  * already free. If an executor cannot be granted a core the run FAILs and
-  * the caller doubles φ and retries. The shrink pass does not depend on φ,
-  * so retries repeat only the grow pass, on the same copy of X̃: a FAIL
-  * undoes its grants in place. Cost per decision, n nodes and m executors:
-  * one O(n·m) copy of X̃, then O(Σ_j |Δk_j|·n) per attempt.
+  * already free. If an executor cannot be granted a core the grow pass
+  * FAILs, and `assign` doubles φ and retries. The shrink pass does not
+  * depend on φ, so retries repeat only the grow pass, on the same copy of
+  * X̃: a FAIL undoes its grants in place. Cost per decision, n nodes and m
+  * executors: one O(n·m) copy of X̃, then O(Σ_j |Δk_j|·n) per attempt.
   */
 object CpuAssignment {
 
@@ -105,11 +105,6 @@ object CpuAssignment {
   /** The paper's initial data-intensity threshold φ (§4.2), bytes/s. */
   val Phi0: Double = 512.0 * 1024
 
-  /** Outcome of one Algorithm-1 run at a fixed φ. */
-  sealed trait Result
-  final case class Success(assignment: Assignment) extends Result
-  case object Fail extends Result
-
   /** C⁺, defined as 0 for an executor with no core (X_j = 0, where the
     * formula is 0/0): it holds no state on any node, so none moves.
     */
@@ -118,25 +113,16 @@ object CpuAssignment {
   private def cMinus(s: Double, xj: Int, xij: Int): Double =
     if (xj <= 1) Double.PositiveInfinity else s * (xj - xij) / (xj.toDouble * (xj - 1))
 
-  /** One run of Algorithm 1 at a fixed data-intensity threshold `phi`.
+  /** The scheduler's assignment step (§4.2): Algorithm 1 at φ = `phi0`,
+    * doubling φ on FAIL until feasible. Returns the assignment, or None when
+    * no φ makes it feasible (the cluster genuinely lacks capacity), and the
+    * φ of the last attempt. Both passes break ties towards the lowest node.
     *
     * @param target  desired core allocation k (per executor)
     * @param prev    existing assignment X̃
     * @param nodeCapacity c_i per node
     * @param execs   per-executor info (local node, state size, intensity)
-    * @param phi     data-intensity threshold φ (bytes/s)
-    */
-  def assignOnce(target: IndexedSeq[Int],
-                 prev: Assignment,
-                 nodeCapacity: IndexedSeq[Int],
-                 execs: IndexedSeq[ExecutorInfo],
-                 phi: Double): Result =
-    shrinkThenGrow(target, prev, nodeCapacity, execs)(phi)
-
-  /** Full scheduler assignment step: run Algorithm 1 at φ = `phi0` and
-    * double φ on FAIL until feasible (§4.2).
-    * Infeasibility with an empty data-intensive set means the cluster
-    * genuinely lacks capacity; that is reported as None.
+    * @param phi0    initial data-intensity threshold φ (bytes/s)
     */
   def assign(target: IndexedSeq[Int],
              prev: Assignment,
@@ -144,32 +130,6 @@ object CpuAssignment {
              execs: IndexedSeq[ExecutorInfo],
              phi0: Double = Phi0): (Option[Assignment], Double) = {
     require(phi0 > 0, s"phi0 must be positive: $phi0")
-    val growAt = shrinkThenGrow(target, prev, nodeCapacity, execs)
-    var phi = phi0
-    val maxIntensity = if (execs.isEmpty) 0.0 else execs.map(_.dataIntensity).max
-    var attempts = 0
-    while (attempts < 64) {
-      growAt(phi) match {
-        case Success(a) => return (Some(a), phi)
-        case Fail =>
-          if (phi > maxIntensity) return (None, phi) // constraint-free and still infeasible
-          phi *= 2
-          attempts += 1
-      }
-    }
-    (None, phi)
-  }
-
-  /** Run the shrink pass, which does not depend on φ, and return the grow
-    * pass as a function of φ. Both passes work on one copy of X̃: a grow
-    * that FAILs undoes its grants, so the next one starts again from the
-    * shrunk X̃; a grow that succeeds hands the copy out, and growing again
-    * after that throws. Both passes break ties towards the lowest node.
-    */
-  private[core] def shrinkThenGrow(target: IndexedSeq[Int],
-                                   prev: Assignment,
-                                   nodeCapacity: IndexedSeq[Int],
-                                   execs: IndexedSeq[ExecutorInfo]): Double => Result = {
     val n = nodeCapacity.length
     val m = execs.length
     require(target.length == m, s"target ${target.length} != executors $m")
@@ -205,6 +165,7 @@ object CpuAssignment {
       i += 1
     }
 
+    // Shrink pass, once: it does not depend on φ.
     var j = 0
     while (j < m) {
       val s = execs(j).stateBytes
@@ -236,25 +197,28 @@ object CpuAssignment {
     }
     val under = byDescendingIntensity(below.take(numUnder), execs)
     val cap = nodeCapacity.toArray
-    // One grow grants at most the missing cores, and at most the free ones:
-    // a grant needs a node below capacity and fills one of its cores.
+    // One grow pass grants at most the missing cores, and at most the free
+    // ones: a grant needs a node below capacity and fills one of its cores.
     var free = 0L
     i = 0
     while (i < n) { free += math.max(0, cap(i) - usedOn(i)); i += 1 }
     val grants = new Array[Long](math.min(need, free).toInt) // (node << 32) | executor
-    var handedOut = false
+    val maxIntensity = if (execs.isEmpty) 0.0 else execs.map(_.dataIntensity).max
 
-    def grow(phi: Double): Result = {
-      if (handedOut) throw new IllegalStateException("grow after Success: its assignment shares this copy of X̃")
+    // Grow pass per φ, on the shrunk copy of X̃.
+    var phi = phi0
+    var attempts = 0
+    while (attempts < 64) {
       var granted = 0
+      var failed = false
       var u = 0
-      while (u < under.length) {
+      while (u < under.length && !failed) {
         val j = under(u)
         val e = execs(j)
         val localOnly = e.dataIntensity > phi
         val lo = if (localOnly) e.localNode else 0
         val hi = if (localOnly) e.localNode else n - 1
-        while (xTot(j) < target(j)) {
+        while (xTot(j) < target(j) && !failed) {
           var best = -1
           var bestCost = Double.PositiveInfinity
           var i = lo
@@ -265,33 +229,37 @@ object CpuAssignment {
             }
             i += 1
           }
-          if (best < 0) {
-            // Undo this attempt's grants: the next φ starts from the shrunk X̃.
-            while (granted > 0) {
-              granted -= 1
-              val bi = (grants(granted) >>> 32).toInt
-              val bj = grants(granted).toInt
-              x(bi)(bj) -= 1
-              xTot(bj) -= 1
-              usedOn(bi) -= 1
-            }
-            return Fail
+          if (best < 0) failed = true
+          else {
+            x(best)(j) += 1
+            xTot(j) += 1
+            usedOn(best) += 1
+            grants(granted) = best.toLong << 32 | j
+            granted += 1
           }
-          x(best)(j) += 1
-          xTot(j) += 1
-          usedOn(best) += 1
-          grants(granted) = best.toLong << 32 | j
-          granted += 1
         }
         u += 1
       }
-      handedOut = true
-      val rows = new Array[IndexedSeq[Int]](n)
-      var i = 0
-      while (i < n) { rows(i) = ArraySeq.unsafeWrapArray(x(i)); i += 1 }
-      Success(Assignment(ArraySeq.unsafeWrapArray(rows)))
+      if (!failed) {
+        val rows = new Array[IndexedSeq[Int]](n)
+        var i = 0
+        while (i < n) { rows(i) = ArraySeq.unsafeWrapArray(x(i)); i += 1 }
+        return (Some(Assignment(ArraySeq.unsafeWrapArray(rows))), phi)
+      }
+      if (phi > maxIntensity) return (None, phi) // constraint-free and still infeasible
+      // FAIL: undo this attempt's grants, so the next φ starts from the shrunk X̃.
+      while (granted > 0) {
+        granted -= 1
+        val bi = (grants(granted) >>> 32).toInt
+        val bj = grants(granted).toInt
+        x(bi)(bj) -= 1
+        xTot(bj) -= 1
+        usedOn(bi) -= 1
+      }
+      phi *= 2
+      attempts += 1
     }
-    grow
+    (None, phi)
   }
 
   /** `js`, ascending, reordered by descending data intensity with ties by

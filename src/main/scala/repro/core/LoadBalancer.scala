@@ -8,7 +8,9 @@ package repro.core
   * shard from the most-loaded task to the least-loaded task and picks the
   * move that reduces δ the most — a First-Fit-Decreasing-flavoured greedy
   * for the NP-hard multi-way partitioning problem. Minimising the number of
-  * moved shards minimises state-migration cost.
+  * moved shards minimises state-migration cost. When an executor loses
+  * tasks, [[evacuate]] first moves their shards onto the survivors; the
+  * rounds then refine that map like any other.
   */
 object LoadBalancer {
 
@@ -121,38 +123,24 @@ object LoadBalancer {
       .toList
   }
 
-  /** Assignment for a task-count change (§3 "CPU core reassignments").
-    * Removed tasks' shards must move; added tasks start empty and the
-    * greedy rounds fill them (θ = `Theta`). Shards on surviving tasks stay
-    * put so the number of reassigned shards — and migration cost — is minimal.
-    *
-    * @param oldNumTasks task count before the change
-    * @param newNumTasks task count after the change (tasks `>= newNumTasks`
-    *                    are the removed ones when shrinking)
+  /** The forced moves of a task-count change (§3 "CPU core reassignments"):
+    * every shard on a removed task (index `>= numTasks`) moves to a
+    * survivor, biggest shard first (FFD), each onto the survivor that is
+    * least loaded at that point. Shards on survivors stay put, so only
+    * the removed tasks' state moves; the caller then refines the result
+    * with [[rebalance]].
     */
-  def resize(shardLoad: IndexedSeq[Double],
-             assignment: IndexedSeq[Int],
-             oldNumTasks: Int,
-             newNumTasks: Int): Rebalance = {
-    require(newNumTasks > 0, s"newNumTasks must be positive: $newNumTasks")
-    if (newNumTasks >= oldNumTasks) {
-      rebalance(shardLoad, assignment, newNumTasks)
-    } else {
-      // Evacuate shards of removed tasks onto the least-loaded survivors.
-      val assign = assignment.toArray
-      val loads = taskLoads(shardLoad, assignment, oldNumTasks)
-      var forced = List.empty[LoadBalancer.Move]
-      val survivorLoads = java.util.Arrays.copyOf(loads, newNumTasks)
-      // Move biggest orphaned shards first (FFD) for tighter packing.
-      val orphans = assign.indices.filter(assign(_) >= newNumTasks).sortBy(i => -shardLoad(i))
-      orphans.foreach { i =>
-        val dst = (0 until newNumTasks).minBy(survivorLoads)
-        forced ::= Move(i, assign(i), dst)
-        survivorLoads(dst) += shardLoad(i)
-        assign(i) = dst
-      }
-      val refined = rebalance(shardLoad, assign.toIndexedSeq, newNumTasks)
-      Rebalance(refined.assignment, forced.reverse ++ refined.moves, refined.imbalance)
+  def evacuate(shardLoad: IndexedSeq[Double], assignment: IndexedSeq[Int], numTasks: Int): List[Move] = {
+    require(numTasks > 0, s"numTasks must be positive: $numTasks")
+    require(shardLoad.length == assignment.length,
+      s"shardLoad ${shardLoad.length} != assignment ${assignment.length}")
+    val survivorLoads = new Array[Double](numTasks)
+    for (i <- assignment.indices if assignment(i) < numTasks) survivorLoads(assignment(i)) += shardLoad(i)
+    val orphans = assignment.indices.filter(assignment(_) >= numTasks).sortBy(i => -shardLoad(i))
+    orphans.toList.map { i =>
+      val dst = (0 until numTasks).minBy(survivorLoads)
+      survivorLoads(dst) += shardLoad(i)
+      Move(i, assignment(i), dst)
     }
   }
 }

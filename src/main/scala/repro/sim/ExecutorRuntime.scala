@@ -30,8 +30,6 @@ final class CompletionStats {
     hist(CompletionStats.bucketOf(latencySec)) += n
   }
 
-  def meanLatency: Double = if (tuples <= 0) 0.0 else latencySum / tuples
-
   /** Latency at quantile `q` (upper edge of the histogram bucket). */
   def latencyQuantile(q: Double): Double = {
     require(q > 0 && q <= 1, s"quantile out of range: $q")
@@ -277,11 +275,11 @@ object TaskRuntime {
 /** Elasticutor's consistent shard reassignment (§3.3) as a state machine the
   * engine advances each tick:
   *
-  *  1. `Draining` — routing for the shard paused (arrivals collect in
+  *  1. draining — routing for the shard paused (arrivals collect in
   *     `hold`); a labeling tuple waits for the source task to drain
-  *     everything that was queued ahead of it.
-  *  2. `Migrating` — state bytes cross the network (skipped intra-node
-  *     thanks to intra-process state sharing).
+  *     everything that was queued ahead of it. Setting `syncEndSec` ends it.
+  *  2. migrating — state bytes cross the network until `migrateEndSec`
+  *     (skipped intra-node thanks to intra-process state sharing).
   *  3. resume — once the target task holds a core, routing table updated
   *     and hold buffer flushed to the target; the engine then drops the move.
   */
@@ -291,17 +289,14 @@ final class ShardMoveOp(val shard: Int,
                         val startSec: Double,
                         val stateBytes: Double,
                         val interNode: Boolean) {
-  var phase: Int = ShardMoveOp.Draining
   /** fromTask.drainedWork value at which the labeling tuple is reached. */
   var drainTarget: Double = fromTask.drainedWork + fromTask.queuedWork
   var migrateEndSec: Double = Double.NaN
   var syncEndSec: Double = Double.NaN
   val hold = mutable.ArrayBuffer.empty[Cohort]
-}
 
-object ShardMoveOp {
-  final val Draining = 0
-  final val Migrating = 1
+  /** Whether the labeling tuple is still ahead: no sync end yet. */
+  def isDraining: Boolean = syncEndSec.isNaN
 }
 
 /** Record of one completed Elasticutor shard reassignment (Fig. 8/9 data).

@@ -484,17 +484,30 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
     */
   private final class ResourceCentricController extends StaticController {
     private val checkPeriodSec = 1.0
-    /** RC repartition in flight, per op. */
+    /** RC repartition in flight, per op. Its costs depend only on the moves
+      * and RC's fixed task nodes, so they are known when it starts.
+      */
     private final class RepartitionOp(val startSec: Double,
-                                      val moves: List[LoadBalancer.Move],
+                                      rt: ExecutorRuntime,
+                                      moves: List[LoadBalancer.Move],
                                       val targetAssignment: IndexedSeq[Int]) {
       var phase = 0 // 0 pause, 1 drain, 2 transfer
-      var pauseEndSec: Double = startSec + cluster.controlRttSec
+      val shards: Int = moves.length
+      val pauseEndSec: Double = startSec + cluster.controlRttSec
       var drainEndSec: Double = Double.NaN
       var transferEndSec: Double = Double.NaN
-      var routingSec: Double = Double.NaN
-      var migrateSec: Double = Double.NaN
-      var bytes: Double = 0.0
+      val bytes: Double = moves.iterator
+        .filter(m => rt.tasks(m.fromTask).node != rt.tasks(m.toTask).node)
+        .map(_ => rt.op.statePerShardBytes).sum
+      // Each shard pays the reassignment control overhead (the moves are
+      // applied shard-by-shard to keep per-key order), plus the network
+      // transfer of cross-node state.
+      val migrateSec: Double = shards * cluster.shardSyncOverheadSec + cluster.transferSec(bytes)
+      // Routing tables of every upstream executor are updated while the
+      // operator is paused: a request+ack round trip each, serialized
+      // through the controller — the global synchronization the
+      // executor-centric approach avoids (§3.3).
+      val routingSec: Double = 2 * cluster.controlRttSec * workload.upstreamExecutorCount
       val hold = mutable.ArrayBuffer.empty[Cohort]
     }
     private val active = new Array[RepartitionOp](ops.length)
@@ -525,7 +538,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val rt = execs(op).head
       if (active(op) != null || rt.isBalanced) return
       val reb = rt.rebalance(opRate)
-      if (reb.moves.nonEmpty) active(op) = new RepartitionOp(currentSec, reb.moves, reb.assignment)
+      if (reb.moves.nonEmpty) active(op) = new RepartitionOp(currentSec, rt, reb.moves, reb.assignment)
     }
 
     private def advance(op: Int): Unit = {
@@ -538,20 +551,6 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         case 1 =>
           if (rt.tasks.forall(_.isDrained)) {
             r.drainEndSec = currentSec
-            val crossBytes = r.moves.iterator
-              .filter(m => rt.tasks(m.fromTask).node != rt.tasks(m.toTask).node)
-              .map(_ => rt.op.statePerShardBytes).sum
-            r.bytes = crossBytes
-            // Each shard pays the reassignment control overhead (the moves are
-            // applied shard-by-shard to keep per-key order), plus the network
-            // transfer of cross-node state.
-            r.migrateSec = r.moves.length * cluster.shardSyncOverheadSec +
-              cluster.transferSec(crossBytes)
-            // Routing tables of every upstream executor are updated while the
-            // operator is paused: a request+ack round trip each, serialized
-            // through the controller — the global synchronization the
-            // executor-centric approach avoids (§3.3).
-            r.routingSec = 2 * cluster.controlRttSec * workload.upstreamExecutorCount
             r.transferEndSec = currentSec + r.migrateSec + r.routingSec
             r.phase = 2
           }
@@ -567,7 +566,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
                 secBackpressured += rt.tasks(t).enqueue(c.arrivalSec, c.work * f, c.tuples * f)
             }
             secMigrationBytes += r.bytes
-            repartLog += RepartitionRecord(r.startSec, rt.op.name, r.moves.length,
+            repartLog += RepartitionRecord(r.startSec, rt.op.name, r.shards,
               r.pauseEndSec - r.startSec, r.drainEndSec - r.pauseEndSec,
               r.routingSec, r.migrateSec, r.bytes)
             active(op) = null
@@ -693,25 +692,23 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val removed = dropped.flatten.map(rt.tasks)
       val n = newTasks.length
 
-      // Removed tasks are numbered after the new task set, so `resize`
-      // evacuates their shards (its forced moves, FFD onto the least-loaded
-      // new task) before refining the balance.
+      // Removed tasks are numbered after the new task set, so `evacuate`
+      // sees them as the tasks to empty.
       val renumber = new Array[Int](rt.tasks.length)
       kept.flatten.zipWithIndex.foreach { case (t, k) => renumber(t) = k }
       dropped.flatten.zipWithIndex.foreach { case (t, r) => renumber(t) = n + r }
       val current = Array.tabulate(rt.numShards)(s => renumber(rt.taskOf(s)))
-      val reb = LoadBalancer.resize(rt.shardLoads(opRate), current.toIndexedSeq, n + removed.length, n)
-      val (forced, refine) = reb.moves.partition(_.fromTask >= n)
+      val forced = LoadBalancer.evacuate(rt.shardLoads(opRate), current.toIndexedSeq, n)
       forced.foreach(m => current(m.shard) = m.toTask)
 
       // Install the new task set and the renumbered map (renumbering survivor
       // indices is pure bookkeeping, not a migration); each forced shard
-      // still leaves its removed task through the protocol.
+      // still leaves its removed task through the protocol. Then balance
+      // the new map as the periodic check does.
       rt.replaceTasks(newTasks)
       rt.remap(current)
       for (m <- forced) startMove(rt, m.shard, removed(m.fromTask - n), m.toTask)
-      for (m <- LoadBalancer.collapse(refine) if !rt.isPaused(m.shard))
-        startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
+      startRebalance(rt, opRate)
       // A removed task retires on its core. One still waiting for a core has
       // had no move onto it, so no shards and no work: it leaves the queue.
       for (t <- removed) if (t.holdsCore) rt.retiring += t else waitingForCore(t.node).removeFirst(_ eq t)
@@ -720,9 +717,14 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
 
     /** Periodic intra-executor balance check. */
     private def maybeRebalance(rt: ExecutorRuntime, opRate: Double): Unit =
-      if (rt.activeMoves.isEmpty && !rt.isBalanced)
-        for (m <- LoadBalancer.collapse(rt.rebalance(opRate).moves))
-          startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
+      if (rt.activeMoves.isEmpty && !rt.isBalanced) startRebalance(rt, opRate)
+
+    /** Start a move for each shard the balance step reassigns, except those
+      * already moving.
+      */
+    private def startRebalance(rt: ExecutorRuntime, opRate: Double): Unit =
+      for (m <- LoadBalancer.collapse(rt.rebalance(opRate).moves) if !rt.isPaused(m.shard))
+        startMove(rt, m.shard, rt.tasks(m.fromTask), m.toTask)
 
     private def startMove(rt: ExecutorRuntime, shard: Int, fromTask: TaskRuntime, toTask: Int): Unit = {
       val interNode = fromTask.node != rt.tasks(toTask).node
@@ -740,12 +742,11 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val moves = rt.activeMoves.length
       // One pass in move order; a move that resumes leaves the list.
       rt.activeMoves.filterInPlace { m =>
-        if (m.phase == ShardMoveOp.Draining) {
+        if (m.isDraining) {
           if (m.fromTask.drainedWork + 1e-9 >= m.drainTarget) {
             m.syncEndSec = currentSec + cluster.shardSyncOverheadSec
             m.migrateEndSec = m.syncEndSec +
               (if (m.interNode) cluster.transferSec(m.stateBytes) else 0.0)
-            m.phase = ShardMoveOp.Migrating
           }
           true
         } else {
@@ -768,7 +769,7 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       val retiring = rt.retiring.length
       rt.retiring.filterInPlace { t =>
         val done = t.isDrained &&
-          !rt.activeMoves.exists(m => (m.fromTask eq t) && m.phase == ShardMoveOp.Draining)
+          !rt.activeMoves.exists(m => (m.fromTask eq t) && m.isDraining)
         if (done) releaseCore(t)
         !done
       }

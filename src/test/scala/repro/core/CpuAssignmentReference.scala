@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.CpuAssignment.{Assignment, ExecutorInfo, Fail, Result, Success}
+import repro.core.CpuAssignment.{Assignment, ExecutorInfo}
 
 /** Reference Algorithm 1: the direct transcription that scans every
   * over-provisioned executor on every allowed node as a steal victim for
@@ -14,11 +14,12 @@ object CpuAssignmentReference {
   private def cMinus(s: Double, xj: Int, xij: Int): Double =
     if (xj <= 1) Double.PositiveInfinity else s * (xj - xij) / (xj.toDouble * (xj - 1))
 
-  def assignOnce(target: IndexedSeq[Int],
-                 prev: Assignment,
-                 nodeCapacity: IndexedSeq[Int],
-                 execs: IndexedSeq[ExecutorInfo],
-                 phi: Double): Result = {
+  /** One run of Algorithm 1 at a fixed φ; None is FAIL. */
+  def assignAt(target: IndexedSeq[Int],
+               prev: Assignment,
+               nodeCapacity: IndexedSeq[Int],
+               execs: IndexedSeq[ExecutorInfo],
+               phi: Double): Option[Assignment] = {
     val n = nodeCapacity.length
     val m = execs.length
     require(target.length == m, s"target ${target.length} != executors $m")
@@ -74,7 +75,7 @@ object CpuAssignmentReference {
             }
           }
         }
-        if (bestNode < 0) return Fail
+        if (bestNode < 0) return None
         if (bestVictim >= 0) {
           x(bestNode)(bestVictim) -= 1
           xTot(bestVictim) -= 1
@@ -85,7 +86,7 @@ object CpuAssignmentReference {
         usedOn(bestNode) += 1
       }
     }
-    Success(Assignment(x.map(_.toIndexedSeq).toIndexedSeq))
+    Some(Assignment(x.map(_.toIndexedSeq).toIndexedSeq))
   }
 
   def assign(target: IndexedSeq[Int],
@@ -98,9 +99,9 @@ object CpuAssignmentReference {
     val maxIntensity = if (execs.isEmpty) 0.0 else execs.map(_.dataIntensity).max
     var attempts = 0
     while (attempts < 64) {
-      assignOnce(target, prev, nodeCapacity, execs, phi) match {
-        case Success(a) => return (Some(a), phi)
-        case Fail =>
+      assignAt(target, prev, nodeCapacity, execs, phi) match {
+        case Some(a) => return (Some(a), phi)
+        case None =>
           if (phi > maxIntensity) return (None, phi) // constraint-free and still infeasible
           phi *= 2
           attempts += 1

@@ -49,41 +49,39 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
     assert(math.abs(after.migrationCostFrom(before, ex) - 4 * MB) < 1.0)
   }
 
-  test("assignOnce grows an executor using free cores first") {
+  test("assign grows an executor using free cores first") {
     val ex = infos(2, j => j)
     val prev = Assignment.oneCoreLocal(ex, numNodes = 2, coresPerNode = 4)
-    assignOnce(IndexedSeq(3, 1), prev, IndexedSeq(4, 4), ex, phi = Double.MaxValue) match {
-      case Success(a) =>
-        assert(a.totalOf(0) == 3)
-        assert(a.totalOf(1) == 1)
-        assert((0 until 2).forall(i => a.usedOn(i) <= 4))
-      case Fail => fail("expected success")
-    }
+    val (Some(a), phi) = assign(IndexedSeq(3, 1), prev, IndexedSeq(4, 4), ex, phi0 = Double.MaxValue)
+    assert(phi == Double.MaxValue)
+    assert(a.totalOf(0) == 3)
+    assert(a.totalOf(1) == 1)
+    assert((0 until 2).forall(i => a.usedOn(i) <= 4))
   }
 
-  test("assignOnce prefers the local node (cheapest C+)") {
+  test("assign prefers the local node (cheapest C+)") {
     val ex = infos(1, _ => 0)
     val prev = Assignment.oneCoreLocal(ex, numNodes = 2, coresPerNode = 8)
-    assignOnce(IndexedSeq(4), prev, IndexedSeq(8, 8), ex, phi = Double.MaxValue) match {
-      case Success(a) =>
-        // All nodes free; C+ is identical everywhere, but the data-intensive
-        // constraint is off — greedy still lands everything locally because
-        // x_ij grows there, lowering C+ for node 0 after the first pick.
-        assert(a.totalOf(0) == 4)
-        assert(a.cores(0)(0) >= 2, s"local node should host most cores: ${a.cores}")
-      case Fail => fail("expected success")
-    }
+    val (Some(a), phi) = assign(IndexedSeq(4), prev, IndexedSeq(8, 8), ex, phi0 = Double.MaxValue)
+    assert(phi == Double.MaxValue)
+    // All nodes free; C+ is identical everywhere, but the data-intensive
+    // constraint is off — greedy still lands everything locally because
+    // x_ij grows there, lowering C+ for node 0 after the first pick.
+    assert(a.totalOf(0) == 4)
+    assert(a.cores(0)(0) >= 2, s"local node should host most cores: ${a.cores}")
   }
 
   test("data-intensive executor only accepts local cores") {
-    val ex = infos(2, j => j, intensity = j => if (j == 0) 10 * MB else 0.0)
-    val prev = Assignment.oneCoreLocal(ex, numNodes = 2, coresPerNode = 2)
-    // Executor 0 wants 4 cores but its local node only has 2; with phi below
-    // its intensity the algorithm must FAIL rather than go remote.
-    assignOnce(IndexedSeq(4, 1), prev, IndexedSeq(2, 2), ex, phi = 1 * MB) match {
-      case Fail => succeed
-      case Success(a) => fail(s"expected FAIL, got $a")
-    }
+    // The executor's local node is 0, but its one core is on node 1, where
+    // C+ is cheapest. Below its intensity, φ confines growth to node 0.
+    val ex = infos(1, _ => 0, intensity = _ => 10 * MB)
+    val prev = Assignment(IndexedSeq(IndexedSeq(0), IndexedSeq(1)))
+    val (Some(local), phi) = assign(IndexedSeq(3), prev, IndexedSeq(2, 2), ex, phi0 = 1 * MB)
+    assert(phi == 1 * MB)
+    assert(local.cores(0)(0) == 2 && local.cores(1)(0) == 1, s"got ${local.cores}")
+    val (Some(free), phiFree) = assign(IndexedSeq(3), prev, IndexedSeq(2, 2), ex, phi0 = 16 * MB)
+    assert(phiFree == 16 * MB)
+    assert(free.cores(0)(0) == 1 && free.cores(1)(0) == 2, s"got ${free.cores}")
   }
 
   test("assign doubles phi until feasible") {
@@ -105,35 +103,34 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
   test("an executor holding no core is granted cores: C+ at X_j = 0 is 0, not 0/0") {
     val ex = infos(2, j => j)
     val prev = Assignment(IndexedSeq(IndexedSeq(1, 0), IndexedSeq(0, 0)))
-    val Success(a) = assignOnce(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), ex, phi = Double.MaxValue)
+    val (Some(a), phi) = assign(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), ex, phi0 = Double.MaxValue)
+    assert(phi == Double.MaxValue)
     assert(a.totalOf(0) == 1 && a.totalOf(1) == 2)
     assert(a.migrationCostFrom(prev, ex) == 0.0, "an executor with no core holds no state to move")
-    assert(assign(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), ex)._1 == Some(a))
+    assert(assign(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), ex) == (Some(a), Phi0))
     // A data-intensive one takes its cores on its local node only.
     val hot = infos(2, j => j, intensity = j => if (j == 1) 64 * Phi0 else 0.0)
-    val Success(b) = assignOnce(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), hot, phi = Phi0)
+    val (Some(b), phiHot) = assign(IndexedSeq(1, 2), prev, IndexedSeq(4, 4), hot, phi0 = Phi0)
+    assert(phiHot == Phi0)
     assert(b.cores(1)(1) == 2)
   }
 
-  test("assignOnce deallocates over-provisioned executors to feed hot ones") {
+  test("assign deallocates over-provisioned executors to feed hot ones") {
     val ex = infos(2, _ => 0)
     val prev = Assignment(IndexedSeq(IndexedSeq(6, 2))) // node0: e0=6, e1=2
-    assignOnce(IndexedSeq(2, 6), prev, IndexedSeq(8), ex, phi = Double.MaxValue) match {
-      case Success(a) =>
-        assert(a.totalOf(0) == 2)
-        assert(a.totalOf(1) == 6)
-        assert(a.usedOn(0) == 8)
-      case Fail => fail("expected success")
-    }
+    val (Some(a), phi) = assign(IndexedSeq(2, 6), prev, IndexedSeq(8), ex, phi0 = Double.MaxValue)
+    assert(phi == Double.MaxValue)
+    assert(a.totalOf(0) == 2)
+    assert(a.totalOf(1) == 6)
+    assert(a.usedOn(0) == 8)
   }
 
-  test("assignOnce respects node capacity") {
+  test("assign respects node capacity") {
     val ex = infos(3, j => j % 2)
     val prev = Assignment.oneCoreLocal(ex, numNodes = 2, coresPerNode = 4)
-    assignOnce(IndexedSeq(3, 3, 2), prev, IndexedSeq(4, 4), ex, phi = Double.MaxValue) match {
-      case Success(a) => (0 until 2).foreach(i => assert(a.usedOn(i) <= 4))
-      case Fail => fail("expected success")
-    }
+    val (Some(a), phi) = assign(IndexedSeq(3, 3, 2), prev, IndexedSeq(4, 4), ex, phi0 = Double.MaxValue)
+    assert(phi == Double.MaxValue)
+    (0 until 2).foreach(i => assert(a.usedOn(i) <= 4))
   }
 
   test("minimal-migration: shrinking prefers nodes with fewest cores") {
@@ -142,13 +139,11 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
     // core (C- smaller when x_ij is small ... C- = s(X-x)/X(X-1): node1 has
     // x=1 -> cost s*3/12, node0 x=3 -> s*1/12; so it drops a node0 core).
     val prev = Assignment(IndexedSeq(IndexedSeq(3), IndexedSeq(1)))
-    assignOnce(IndexedSeq(3), prev, IndexedSeq(4, 4), ex, phi = Double.MaxValue) match {
-      case Success(a) =>
-        assert(a.totalOf(0) == 3)
-        // Deallocating on the majority node is cheapest per the paper's C-.
-        assert(a.cores(0)(0) == 2 && a.cores(1)(0) == 1, s"got ${a.cores}")
-      case Fail => fail("expected success")
-    }
+    val (Some(a), phi) = assign(IndexedSeq(3), prev, IndexedSeq(4, 4), ex, phi0 = Double.MaxValue)
+    assert(phi == Double.MaxValue)
+    assert(a.totalOf(0) == 3)
+    // Deallocating on the majority node is cheapest per the paper's C-.
+    assert(a.cores(0)(0) == 2 && a.cores(1)(0) == 1, s"got ${a.cores}")
   }
 
   test("assignNaive satisfies the allocation without locality") {
@@ -164,7 +159,8 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
     val ex = infos(1, _ => 0)
     val prev = Assignment.oneCoreLocal(ex, numNodes = 4, coresPerNode = 8)
     val Some(naive) = assignNaive(IndexedSeq(6), IndexedSeq.fill(4)(8), ex)
-    val Success(opt) = assignOnce(IndexedSeq(6), prev, IndexedSeq.fill(4)(8), ex, Double.MaxValue)
+    val (Some(opt), phi) = assign(IndexedSeq(6), prev, IndexedSeq.fill(4)(8), ex, phi0 = Double.MaxValue)
+    assert(phi == Double.MaxValue)
     val naiveNodes = (0 until 4).count(i => naive.cores(i)(0) > 0)
     val optNodes = (0 until 4).count(i => opt.cores(i)(0) > 0)
     assert(optNodes <= naiveNodes, s"opt=$optNodes naive=$naiveNodes")
@@ -208,27 +204,23 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
     (target, Assignment(x.map(_.toIndexedSeq).toIndexedSeq), cap, execs)
   }
 
-  test("assignOnce and assign match the victim-scanning reference exactly") {
-    var successes, fails, overSubscribed, overCapacity, grownFromNone = 0
+  test("assign matches the victim-scanning reference exactly at random phi") {
+    var firstPhi, retried, overSubscribed, overCapacity, grownFromNone = 0
     forSeeds(2500) { rng =>
       val (target, prev, cap, execs) = randomInput(rng)
-      val phi = 512.0 * 1024 * math.pow(2, rng.nextInt(8) - 2)
-      val once = assignOnce(target, prev, cap, execs, phi)
-      assert(once == CpuAssignmentReference.assignOnce(target, prev, cap, execs, phi))
-      once match {
-        case Success(a) =>
-          successes += 1
-          if (execs.indices.exists(j => prev.totalOf(j) == 0 && a.totalOf(j) > 0)) grownFromNone += 1
-        case Fail => fails += 1
-      }
-      assert(assign(target, prev, cap, execs) == CpuAssignmentReference.assign(target, prev, cap, execs))
+      val phi0 = 512.0 * 1024 * math.pow(2, rng.nextInt(8) - 2)
+      val (res, phi) = assign(target, prev, cap, execs, phi0)
+      assert((res, phi) == CpuAssignmentReference.assign(target, prev, cap, execs, phi0))
+      if (phi > phi0) retried += 1 else if (res.isDefined) firstPhi += 1
+      for (a <- res if execs.indices.exists(j => prev.totalOf(j) == 0 && a.totalOf(j) > 0)) grownFromNone += 1
       if (cap.indices.exists(i => prev.usedOn(i) > cap(i))) overSubscribed += 1
       if (target.sum > cap.sum) overCapacity += 1
     }
-    // The generator reaches both outcomes, both kinds of overload, and
-    // successes that grant cores to an executor that held none.
-    assert(Seq(successes, fails, overSubscribed, overCapacity, grownFromNone).forall(_ > 100),
-      s"success $successes fail $fails oversubscribed $overSubscribed over capacity $overCapacity " +
+    // The generator reaches success at the first φ, φ retries, both kinds
+    // of overload, and successes that grant cores to an executor that held
+    // none.
+    assert(Seq(firstPhi, retried, overSubscribed, overCapacity, grownFromNone).forall(_ > 100),
+      s"first phi $firstPhi retried $retried oversubscribed $overSubscribed over capacity $overCapacity " +
         s"grown from no core $grownFromNone")
   }
 
@@ -236,14 +228,6 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
     val ex = infos(2, _ => 0)
     for (rows <- Seq(IndexedSeq(IndexedSeq(1, 0), IndexedSeq(1)), IndexedSeq(IndexedSeq(1, 0), IndexedSeq(1, 0, 1))))
       intercept[IllegalArgumentException](assign(IndexedSeq(1, 1), Assignment(rows), IndexedSeq(4, 4), ex))
-  }
-
-  test("growing again after a Success throws") {
-    val ex = infos(2, j => j)
-    val grow = shrinkThenGrow(IndexedSeq(3, 1), Assignment.oneCoreLocal(ex, 2, 4), IndexedSeq(4, 4), ex)
-    val Success(a) = grow(Double.MaxValue)
-    intercept[IllegalStateException](grow(Double.MaxValue))
-    assert(a.totalOf(0) == 3 && a.totalOf(1) == 1)
   }
 
   private def arrays(a: Assignment): Seq[Array[Int]] =
@@ -255,7 +239,7 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
       val (target, prev, cap, execs) = randomInput(rng)
       val (first, phi) = assign(target, prev, cap, execs)
       if (phi > Phi0) retried += 1
-      first.foreach(a => assert(assignOnce(target, prev, cap, execs, phi) == Success(a)))
+      first.foreach(a => assert(assign(target, prev, cap, execs, phi0 = phi) == (Some(a), phi)))
       // The simulator installs a decision and hands it back as the next X̃.
       for (a <- first) {
         val before = a.cores.map(_.toVector)

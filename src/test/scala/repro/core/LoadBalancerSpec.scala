@@ -93,10 +93,21 @@ class LoadBalancerSpec extends AnyFunSuite with PropHelpers {
     assert(collapse(ms).isEmpty)
   }
 
+  /** A task-count change as the engine makes it: evacuate the tasks at
+    * `numTasks` and above, then rebalance the map that leaves.
+    */
+  private def resize(loads: IndexedSeq[Double], start: IndexedSeq[Int], numTasks: Int): (List[Move], Rebalance) = {
+    val forced = evacuate(loads, start, numTasks)
+    val evacuated = start.toArray
+    forced.foreach(m => evacuated(m.shard) = m.toTask)
+    (forced, rebalance(loads, evacuated.toIndexedSeq, numTasks))
+  }
+
   test("resize up spreads shards onto new tasks") {
     val loads = IndexedSeq.fill(12)(1.0)
     val start = IndexedSeq(0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
-    val r = resize(loads, start, oldNumTasks = 2, newNumTasks = 4)
+    val (forced, r) = resize(loads, start, numTasks = 4)
+    assert(forced.isEmpty, "no task was removed")
     assert(r.imbalance <= 1.2)
     assert((0 until 4).forall(t => r.assignment.contains(t)), "all tasks get shards")
   }
@@ -104,7 +115,7 @@ class LoadBalancerSpec extends AnyFunSuite with PropHelpers {
   test("resize down evacuates removed tasks") {
     val loads = IndexedSeq.fill(12)(1.0)
     val start = IndexedSeq(0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3)
-    val r = resize(loads, start, oldNumTasks = 4, newNumTasks = 2)
+    val (_, r) = resize(loads, start, numTasks = 2)
     r.assignment.foreach(t => assert(t < 2, "no shard may stay on a removed task"))
     assert(r.imbalance <= 1.2)
   }
@@ -112,8 +123,8 @@ class LoadBalancerSpec extends AnyFunSuite with PropHelpers {
   test("resize down forced moves originate at removed tasks") {
     val loads = IndexedSeq.fill(8)(1.0)
     val start = IndexedSeq(0, 1, 2, 3, 0, 1, 2, 3)
-    val r = resize(loads, start, oldNumTasks = 4, newNumTasks = 2)
-    val forced = r.moves.filter(m => m.fromTask >= 2)
+    val (forced, _) = resize(loads, start, numTasks = 2)
+    assert(forced.forall(_.fromTask >= 2))
     assert(forced.map(_.shard).toSet == Set(2, 3, 6, 7))
   }
 
@@ -122,18 +133,44 @@ class LoadBalancerSpec extends AnyFunSuite with PropHelpers {
     // after the new task set) is removed, so the task count stays at 3.
     val loads = IndexedSeq.tabulate(12)(i => 1.0 + i % 3)
     val start = IndexedSeq(0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3)
-    val r = resize(loads, start, oldNumTasks = 4, newNumTasks = 3)
-    val forced = r.moves.filter(_.fromTask >= 3)
+    val (forced, r) = resize(loads, start, numTasks = 3)
     assert(forced.nonEmpty && forced.forall(_.fromTask == 3), s"forced moves: $forced")
     assert(forced.map(_.shard).toSet == start.indices.filter(start(_) == 3).toSet)
     assert(r.assignment.forall(_ < 3), "no shard may stay on the removed task")
-    val survivorShards = start.indices.filter(start(_) < 3).toSet
-    assert(forced.forall(m => !survivorShards(m.shard)), "survivors' shards are not forced")
+  }
+
+  test("evacuate property: removed tasks' shards, biggest first, each onto the least-loaded survivor") {
+    forSeeds(200) { rng =>
+      val n = 1 + rng.nextInt(6)
+      val removed = 1 + rng.nextInt(4)
+      val z = 1 + rng.nextInt(64)
+      // Some equal loads, so ties in both orders come up.
+      val loads = IndexedSeq.fill(z)(if (rng.nextInt(4) == 0) 1.0 else rng.nextDouble() * 10.0)
+      val start = IndexedSeq.fill(z)(rng.nextInt(n + removed))
+      val forced = evacuate(loads, start, n)
+      assert(forced.map(_.shard).sorted == start.indices.filter(start(_) >= n))
+      assert(forced.forall(m => m.fromTask == start(m.shard)))
+      assert(forced.map(m => loads(m.shard)) == forced.map(m => loads(m.shard)).sorted.reverse,
+        "biggest shard first")
+      val survivorLoads = Array.tabulate(n)(t => start.indices.filter(start(_) == t).map(loads).sum)
+      val evacuated = start.toArray
+      for (m <- forced) {
+        assert(m.toTask < n && survivorLoads(m.toTask) <= survivorLoads.min + 1e-9,
+          s"shard ${m.shard} went to task ${m.toTask} at ${survivorLoads(m.toTask)}, not the least loaded")
+        survivorLoads(m.toTask) += loads(m.shard)
+        evacuated(m.shard) = m.toTask
+      }
+      assert(evacuated.forall(_ < n), "no shard left on a removed task")
+      val before = imbalance(loads, evacuated.toIndexedSeq, n)
+      assert(rebalance(loads, evacuated.toIndexedSeq, n).imbalance <= before + 1e-9)
+    }
   }
 
   test("rejects invalid arguments") {
     intercept[IllegalArgumentException](imbalance(IndexedSeq(1.0), IndexedSeq(0), 0))
     intercept[IllegalArgumentException](rebalance(IndexedSeq(1.0), IndexedSeq(0, 1), 2))
     intercept[IllegalArgumentException](rebalance(IndexedSeq(1.0), IndexedSeq(0), 1, theta = 0.5))
+    intercept[IllegalArgumentException](evacuate(IndexedSeq(1.0), IndexedSeq(0), 0))
+    intercept[IllegalArgumentException](evacuate(IndexedSeq(1.0), IndexedSeq(0, 1), 1))
   }
 }
