@@ -88,17 +88,31 @@ object CpuAssignment {
       * its (round-robin chosen) local node.
       */
     def oneCoreLocal(execs: IndexedSeq[ExecutorInfo], numNodes: Int, coresPerNode: Int): Assignment = {
-      val m = Array.fill(numNodes, execs.length)(0)
-      val used = Array.fill(numNodes)(0)
-      for (j <- execs.indices) {
-        val i = execs(j).localNode
-        require(i >= 0 && i < numNodes, s"executor $j local node $i out of range")
-        require(used(i) < coresPerNode,
-          s"node $i over capacity placing executor $j (${used(i)} of $coresPerNode)")
-        m(i)(j) += 1
-        used(i) += 1
+      val rows = new Array[Array[Int]](numNodes)
+      var i = 0
+      while (i < numNodes) { rows(i) = new Array[Int](execs.length); i += 1 }
+      val used = new Array[Int](numNodes)
+      var j = 0
+      while (j < execs.length) {
+        val node = execs(j).localNode
+        require(node >= 0 && node < numNodes, s"executor $j local node $node out of range")
+        require(used(node) < coresPerNode,
+          s"node $node over capacity placing executor $j (${used(node)} of $coresPerNode)")
+        rows(node)(j) = 1
+        used(node) += 1
+        j += 1
       }
-      Assignment(m.map(_.toIndexedSeq).toIndexedSeq)
+      ofRows(rows)
+    }
+
+    /** The assignment whose row i is `rows(i)`, wrapped without copying:
+      * the caller hands the arrays over and writes none of them again.
+      */
+    def ofRows(rows: Array[Array[Int]]): Assignment = {
+      val wrapped = new Array[IndexedSeq[Int]](rows.length)
+      var i = 0
+      while (i < rows.length) { wrapped(i) = ArraySeq.unsafeWrapArray(rows(i)); i += 1 }
+      Assignment(ArraySeq.unsafeWrapArray(wrapped))
     }
   }
 
@@ -133,7 +147,15 @@ object CpuAssignment {
     val n = nodeCapacity.length
     val m = execs.length
     require(target.length == m, s"target ${target.length} != executors $m")
-    require(target.forall(_ >= 0), s"negative target: $target")
+    val want = new Array[Int](m)
+    var negative = false
+    var j = 0
+    while (j < m) {
+      want(j) = target(j)
+      if (want(j) < 0) negative = true
+      j += 1
+    }
+    require(!negative, s"negative target: $target")
     require(prev.numNodes == n && prev.numExecutors == m,
       s"prev assignment shape ${prev.numNodes}x${prev.numExecutors} != ${n}x$m")
     // The engine applies decisions whole, so its `prev` never oversubscribes
@@ -146,14 +168,18 @@ object CpuAssignment {
     val x = new Array[Array[Int]](n)
     val xTot = new Array[Int](m)
     val usedOn = new Array[Int](n)
+    val cap = new Array[Int](n)
     var i = 0
     while (i < n) {
+      cap(i) = nodeCapacity(i)
       val src = prev.cores(i)
       require(src.length == m, s"prev row $i has ${src.length} entries, expected $m")
-      val row = new Array[Int](m)
-      src.copyToArray(row)
+      val row = src match {
+        case r: ArraySeq.ofInt => r.unsafeArray.clone()
+        case _ => val a = new Array[Int](m); src.copyToArray(a); a
+      }
       var used = 0
-      var j = 0
+      j = 0
       while (j < m) {
         val c = row(j)
         xTot(j) += c
@@ -166,10 +192,10 @@ object CpuAssignment {
     }
 
     // Shrink pass, once: it does not depend on φ.
-    var j = 0
+    j = 0
     while (j < m) {
       val s = execs(j).stateBytes
-      while (xTot(j) > target(j)) {
+      while (xTot(j) > want(j)) {
         // Ties go to the lowest node; `compare` orders NaN above +∞.
         var best = -1
         var bestCost = 0.0
@@ -192,18 +218,17 @@ object CpuAssignment {
     var need = 0L
     j = 0
     while (j < m) {
-      if (xTot(j) < target(j)) { below(numUnder) = j; numUnder += 1; need += target(j) - xTot(j) }
+      if (xTot(j) < want(j)) { below(numUnder) = j; numUnder += 1; need += want(j) - xTot(j) }
       j += 1
     }
     val under = byDescendingIntensity(below.take(numUnder), execs)
-    val cap = nodeCapacity.toArray
     // One grow pass grants at most the missing cores, and at most the free
     // ones: a grant needs a node below capacity and fills one of its cores.
     var free = 0L
     i = 0
     while (i < n) { free += math.max(0, cap(i) - usedOn(i)); i += 1 }
     val grants = new Array[Long](math.min(need, free).toInt) // (node << 32) | executor
-    val maxIntensity = if (execs.isEmpty) 0.0 else execs.map(_.dataIntensity).max
+    val phiMax = maxIntensity(execs)
 
     // Grow pass per φ, on the shrunk copy of X̃.
     var phi = phi0
@@ -218,7 +243,7 @@ object CpuAssignment {
         val localOnly = e.dataIntensity > phi
         val lo = if (localOnly) e.localNode else 0
         val hi = if (localOnly) e.localNode else n - 1
-        while (xTot(j) < target(j) && !failed) {
+        while (xTot(j) < want(j) && !failed) {
           var best = -1
           var bestCost = Double.PositiveInfinity
           var i = lo
@@ -240,13 +265,8 @@ object CpuAssignment {
         }
         u += 1
       }
-      if (!failed) {
-        val rows = new Array[IndexedSeq[Int]](n)
-        var i = 0
-        while (i < n) { rows(i) = ArraySeq.unsafeWrapArray(x(i)); i += 1 }
-        return (Some(Assignment(ArraySeq.unsafeWrapArray(rows))), phi)
-      }
-      if (phi > maxIntensity) return (None, phi) // constraint-free and still infeasible
+      if (!failed) return (Some(Assignment.ofRows(x)), phi)
+      if (phi > phiMax) return (None, phi) // constraint-free and still infeasible
       // FAIL: undo this attempt's grants, so the next φ starts from the shrunk X̃.
       while (granted > 0) {
         granted -= 1
@@ -260,6 +280,22 @@ object CpuAssignment {
       attempts += 1
     }
     (None, phi)
+  }
+
+  /** The largest data intensity, 0 when there are no executors: the value of
+    * `execs.map(_.dataIntensity).max` (`Ordering.Double.TotalOrdering`, so
+    * NaN above +∞ and +0.0 above −0.0) without boxing.
+    */
+  private[core] def maxIntensity(execs: IndexedSeq[ExecutorInfo]): Double = {
+    if (execs.isEmpty) return 0.0
+    var max = execs(0).dataIntensity
+    var j = 1
+    while (j < execs.length) {
+      val d = execs(j).dataIntensity
+      if (java.lang.Double.compare(d, max) > 0) max = d
+      j += 1
+    }
+    max
   }
 
   /** `js`, ascending, reordered by descending data intensity with ties by
@@ -315,6 +351,6 @@ object CpuAssignment {
       usedOn(i) += 1
       cursor += 1
     }
-    Some(Assignment(x.map(_.toIndexedSeq).toIndexedSeq))
+    Some(Assignment.ofRows(x))
   }
 }

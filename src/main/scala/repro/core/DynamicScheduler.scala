@@ -64,12 +64,12 @@ object DynamicScheduler {
                                (assigner: IndexedSeq[Int] => (Option[Assignment], Double)): Decision = {
     require(loads.length == execs.length, s"loads ${loads.length} != execs ${execs.length}")
     val t0 = System.nanoTime()
-    val totalCores = nodeCapacity.sum
+    val totalCores = sum(nodeCapacity)
     val alloc = QueueingModel.allocateCores(loads, latencyTarget, totalCores)
     // Clip to capacity when the minimum-stability demand exceeds the
     // cluster: shed proportionally so the assignment step stays feasible.
     val k = alloc.cores
-    val demand = k.sum
+    val demand = sum(k)
     val target =
       if (demand <= totalCores) k
       else {
@@ -91,6 +91,14 @@ object DynamicScheduler {
       }
     val (assignment, phiUsed) = assigner(target)
     Decision(alloc, assignment, phiUsed, System.nanoTime() - t0)
+  }
+
+  /** `xs.sum` without boxing: the same Int, overflow included. */
+  private[core] def sum(xs: IndexedSeq[Int]): Int = {
+    var total = 0
+    var j = 0
+    while (j < xs.length) { total += xs(j); j += 1 }
+    total
   }
 
   /** Executors in descending order of the cores the clip took from them,

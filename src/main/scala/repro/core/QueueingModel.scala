@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** Queueing-theoretic performance model of §4.1.
   *
   * The topology is modelled as a Jackson network in which executor `j` with
@@ -88,6 +90,12 @@ object QueueingModel {
     * increment lowers E[T] the most, until E[T] ≤ `latencyTarget` or the
     * budget `totalCores` is exhausted.
     *
+    * λ0, Eq. (1)'s divisor, is today the largest executor λ, not the
+    * external arrival rate the paper defines it as. It divides E[T] and
+    * every increment's drop alike, so it decides when the growth stops and
+    * what E[T] is predicted, never which executor grows. Making it the
+    * external rate is a behaviour change (ROADMAP, open item 3).
+    *
     * @param latencyTarget user latency SLO T_max in seconds
     * @param totalCores    available CPU cores in the cluster
     */
@@ -95,17 +103,20 @@ object QueueingModel {
     require(loads.nonEmpty, "no executors to allocate")
     require(latencyTarget > 0, s"latencyTarget must be positive: $latencyTarget")
     require(totalCores >= 1, s"totalCores must be >= 1: $totalCores")
-    val lambda0 = math.max(loads.map(_.lambda).max, 1e-9)
-    val k = loads.map(_.minCores).toArray
-    var total = k.sum
+    val k = new Array[Int](loads.length)
+    val lambda0 = startAtMinima(loads, k)
+    var total = 0
+    var j = 0
+    while (j < k.length) { total += k(j); j += 1 }
+    val cores = ArraySeq.unsafeWrapArray(k) // k is not written once returned
     // Infeasible even at the stability minimum: hand back the minima as they
     // are, summing above `totalCores`; clipping them to the cluster is the
     // caller's job ([[DynamicScheduler]]). The paper's scheduler would be
     // operating an overloaded cluster here regardless of assignment.
     if (total > totalCores) {
-      return Allocation(k.toIndexedSeq, Double.PositiveInfinity, feasible = false)
+      return Allocation(cores, Double.PositiveInfinity, feasible = false)
     }
-    var latency = topologyLatency(loads.toIndexedSeq, k.toIndexedSeq, lambda0)
+    var latency = topologyLatency(loads, cores, lambda0)
     while (latency > latencyTarget && total < totalCores) {
       var bestJ = -1
       var bestDrop = 0.0
@@ -119,12 +130,29 @@ object QueueingModel {
       }
       if (bestJ < 0) {
         // No increment helps (all executors already at negligible wait).
-        return Allocation(k.toIndexedSeq, latency, feasible = latency <= latencyTarget)
+        return Allocation(cores, latency, feasible = latency <= latencyTarget)
       }
       k(bestJ) += 1
       total += 1
       latency -= bestDrop
     }
-    Allocation(k.toIndexedSeq, latency, feasible = latency <= latencyTarget)
+    Allocation(cores, latency, feasible = latency <= latencyTarget)
+  }
+
+  /** Sets `k` to the stability minima and returns λ0 = max(max_j λ_j, 1e-9),
+    * in one pass. The max is `Ordering.Double.TotalOrdering`'s, as
+    * `loads.map(_.lambda).max` takes it: NaN above +∞, +0.0 above −0.0, and
+    * the first of equal values kept.
+    */
+  private[core] def startAtMinima(loads: IndexedSeq[ExecutorLoad], k: Array[Int]): Double = {
+    var max = loads(0).lambda
+    var j = 0
+    while (j < k.length) {
+      val load = loads(j)
+      if (java.lang.Double.compare(load.lambda, max) > 0) max = load.lambda
+      k(j) = load.minCores
+      j += 1
+    }
+    math.max(max, 1e-9)
   }
 }

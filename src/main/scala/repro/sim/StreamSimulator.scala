@@ -642,7 +642,15 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
       * more active tasks than cores.
       */
     private def applyDecision(a: CpuAssignment.Assignment, rates: Array[Double]): Unit = {
-      val changes = allExecs.indices.map(j => allExecs(j) -> Array.tabulate(numNodes)(i => a.cores(i)(j)))
+      // Executor-major counts, reading each node's row once.
+      val countsOf = Array.ofDim[Int](allExecs.length, numNodes)
+      val row = new Array[Int](allExecs.length)
+      for (i <- 0 until numNodes) {
+        a.cores(i).copyToArray(row)
+        var j = 0
+        while (j < row.length) { countsOf(j)(i) = row(j); j += 1 }
+      }
+      val changes = allExecs.indices.map(j => allExecs(j) -> countsOf(j))
         .filterNot { case (rt, counts) => java.util.Arrays.equals(rt.coresPerNode(numNodes), counts) }
       if (changes.exists { case (rt, _) => rt.activeMoves.nonEmpty || rt.retiring.nonEmpty }) deferred += 1
       else {
@@ -665,8 +673,13 @@ final class StreamSimulator(config: SimConfig, workload: Workload) {
         CpuAssignment.ExecutorInfo(rt.localNode, rt.stateBytes,
           lambda * (rt.op.tupleBytes + rt.op.outBytes) / math.max(1, rt.tasks.length)))
       def prev = {
-        val held = allExecs.map(_.coresPerNode(numNodes))
-        CpuAssignment.Assignment(IndexedSeq.tabulate(numNodes)(i => held.map(_(i))))
+        val rows = Array.ofDim[Int](numNodes, allExecs.length)
+        for (j <- allExecs.indices) {
+          val held = allExecs(j).coresPerNode(numNodes)
+          var i = 0
+          while (i < numNodes) { rows(i)(j) = held(i); i += 1 }
+        }
+        CpuAssignment.Assignment.ofRows(rows)
       }
       val capacity = IndexedSeq.fill(numNodes)(cluster.coresPerNode)
       if (naive) DynamicScheduler.scheduleNaive(loads, infos, capacity, config.latencyTargetSec)

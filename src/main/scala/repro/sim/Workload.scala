@@ -68,7 +68,7 @@ trait Workload {
   */
 final class KeyFrequencies(val numKeys: Int, zipfSkew: Double, seed: Long) {
   require(numKeys > 0, s"numKeys must be positive: $numKeys")
-  private val rng = new scala.util.Random(seed)
+  private val rng = new scala.util.Random(new UnsharedRandom(seed))
 
   /** freq(k) ∝ 1/(rank_k)^skew, shuffled so rank is decoupled from key id. */
   private val base: Array[Double] = {
@@ -146,4 +146,38 @@ final class KeyFrequencies(val numKeys: Int, zipfSkew: Double, seed: Long) {
       w
     }).clone()
   }
+}
+
+/** `java.util.Random`'s generator on a plain `Long`: the same 48-bit linear
+  * congruential step, so every draw equals `new java.util.Random(seed)`'s,
+  * without the compare-and-swap on an `AtomicLong` that each of its draws
+  * pays. `next` and `setSeed` are the extension point `java.util.Random`
+  * documents; `nextInt(bound)`, `nextDouble`, `nextGaussian` and
+  * `scala.util.Random.shuffle` all draw through `next`.
+  *
+  * Not thread-safe. Its owner, a workload's [[KeyFrequencies]], is confined
+  * to the one thread that runs its simulation.
+  */
+final class UnsharedRandom(seed: Long) extends java.util.Random(seed) {
+  import UnsharedRandom._
+
+  // `java.util.Random`'s constructor calls `setSeed` before this class's
+  // initialisers run, so the field has none: one would reset the seed.
+  private var s: Long = _
+
+  override def setSeed(seed: Long): Unit = {
+    super.setSeed(seed) // drops the cached second `nextGaussian`
+    s = (seed ^ Multiplier) & Mask
+  }
+
+  override protected def next(bits: Int): Int = {
+    s = (s * Multiplier + Addend) & Mask
+    (s >>> (48 - bits)).toInt
+  }
+}
+
+object UnsharedRandom {
+  private final val Multiplier = 0x5DEECE66DL
+  private final val Addend = 0xBL
+  private final val Mask = (1L << 48) - 1
 }

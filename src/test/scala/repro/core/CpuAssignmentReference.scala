@@ -109,4 +109,21 @@ object CpuAssignmentReference {
     }
     (None, phi)
   }
+
+  /** X̃₀ as `Assignment.oneCoreLocal` built it cell by cell through Scala's
+    * generic arrays, with the same checks and messages.
+    */
+  def oneCoreLocal(execs: IndexedSeq[ExecutorInfo], numNodes: Int, coresPerNode: Int): Assignment = {
+    val m = Array.fill(numNodes, execs.length)(0)
+    val used = Array.fill(numNodes)(0)
+    for (j <- execs.indices) {
+      val i = execs(j).localNode
+      require(i >= 0 && i < numNodes, s"executor $j local node $i out of range")
+      require(used(i) < coresPerNode,
+        s"node $i over capacity placing executor $j (${used(i)} of $coresPerNode)")
+      m(i)(j) += 1
+      used(i) += 1
+    }
+    Assignment(m.map(_.toIndexedSeq).toIndexedSeq)
+  }
 }

@@ -35,6 +35,44 @@ class CpuAssignmentSpec extends AnyFunSuite with PropHelpers {
     intercept[IllegalArgumentException](Assignment.oneCoreLocal(ex, 2, 2))
   }
 
+  test("oneCoreLocal equals the per-cell construction and fails with its messages") {
+    var built, outOfRange, overCapacity = 0
+    forSeeds(500) { rng =>
+      val n = rng.nextInt(9)
+      val perNode = rng.nextInt(6)
+      // A local node of -1 or n is out of range.
+      val ex = infos(rng.nextInt(30), _ => if (rng.nextInt(40) == 0) rng.nextInt(2) * (n + 1) - 1 else rng.nextInt(n max 1))
+      def outcome(f: => Assignment): Either[String, Assignment] =
+        try Right(f) catch { case e: IllegalArgumentException => Left(e.getMessage) }
+      val got = outcome(Assignment.oneCoreLocal(ex, n, perNode))
+      assert(got == outcome(CpuAssignmentReference.oneCoreLocal(ex, n, perNode)))
+      got match {
+        case Right(a) =>
+          assert(a.numNodes == n && a.cores.forall(_.length == ex.length))
+          built += 1
+        case Left(msg) => if (msg.contains("out of range")) outOfRange += 1 else overCapacity += 1
+      }
+    }
+    assert(Seq(built, outOfRange, overCapacity).forall(_ > 50),
+      s"built $built out of range $outOfRange over capacity $overCapacity")
+  }
+
+  test("oneCoreLocal allocates little more than one copy of X̃ on 128 nodes × 608 executors") {
+    val bean = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val (n, m) = (128, 608)
+    val ex = infos(m, _ % n)
+    for (_ <- 0 until 200) Assignment.oneCoreLocal(ex, n, 8)
+    val tid = Thread.currentThread.getId
+    val bytes = (0 until 5).map { _ =>
+      val before = bean.getThreadAllocatedBytes(tid)
+      Assignment.oneCoreLocal(ex, n, 8)
+      bean.getThreadAllocatedBytes(tid) - before
+    }
+    info(s"bytes allocated per call: ${bytes.mkString(", ")}")
+    assert(bytes.max < 1.25 * n * m * 4, s"allocated $bytes bytes")
+  }
+
   test("migrationCostFrom is zero for identical assignments") {
     val ex = infos(2, _ => 0)
     val a = Assignment(IndexedSeq(IndexedSeq(2, 2), IndexedSeq(0, 0)))

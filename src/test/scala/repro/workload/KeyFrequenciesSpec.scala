@@ -1,7 +1,7 @@
 package repro.workload
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.sim.KeyFrequencies
+import repro.sim.{KeyFrequencies, UnsharedRandom}
 
 class KeyFrequenciesSpec extends AnyFunSuite {
 
@@ -73,6 +73,39 @@ class KeyFrequenciesSpec extends AnyFunSuite {
       assert(bits(w) == bits(uncached(y, z)))
       java.util.Arrays.fill(w, 1.0)
       assert(bits(f.shardWeights(y, z)) == bits(uncached(y, z)), "a caller's writes leak into the next call")
+    }
+  }
+
+  test("UnsharedRandom draws what java.util.Random draws, before and after setSeed") {
+    for (seed <- Seq(0L, 1L, -1L, 2019L, Long.MinValue)) {
+      val ours = new UnsharedRandom(seed)
+      val theirs = new java.util.Random(seed)
+      val pick = new scala.util.Random(seed)
+      def sameDraws(round: String): Unit = {
+        for (call <- 0 until 10000) {
+          def at = s"seed $seed, $round, call $call"
+          pick.nextInt(6) match {
+            case 0 => assert(ours.nextDouble() == theirs.nextDouble(), at)
+            case 1 =>
+              val bound = 1 << (1 + pick.nextInt(30))
+              assert(ours.nextInt(bound) == theirs.nextInt(bound), s"$at, bound $bound")
+            case 2 =>
+              val bound = 1 + pick.nextInt(Int.MaxValue)
+              assert(ours.nextInt(bound) == theirs.nextInt(bound), s"$at, bound $bound")
+            case 3 => assert(ours.nextLong() == theirs.nextLong(), at)
+            case 4 => assert(ours.nextBoolean() == theirs.nextBoolean(), at)
+            case _ => assert(ours.nextGaussian() == theirs.nextGaussian(), at)
+          }
+        }
+        assert(new scala.util.Random(ours).shuffle((0 until 2000).toVector) ==
+          new scala.util.Random(theirs).shuffle((0 until 2000).toVector), s"seed $seed, $round, shuffle")
+      }
+      sameDraws("from the constructor")
+      // An odd number of Gaussians leaves one cached; setSeed must drop it.
+      assert(ours.nextGaussian() == theirs.nextGaussian())
+      ours.setSeed(seed ^ 0x5DEECE66DL)
+      theirs.setSeed(seed ^ 0x5DEECE66DL)
+      sameDraws("after setSeed")
     }
   }
 
